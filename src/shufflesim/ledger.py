@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class DepthViolation(Exception):
@@ -52,4 +51,4 @@ class DepthLedger:
         self.violations.append(message)
 
     def snapshot(self) -> "DepthLedger":
-        return copy.deepcopy(self)
+        return replace(self, violations=list(self.violations))

@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -180,35 +181,37 @@ def _run_trial(packed):
 
 def run_cells(cells, trials: int, seed: int, jobs: int = 1, timing: bool = False) -> list[ResultRecord]:
     records = []
-    for cell_idx, cell in enumerate(cells):
-        start = time.perf_counter()
-        packed = [
-            (cell.trial, cell.n, cell.d, cell.backend, cell.params, (seed, cell_idx, t))
-            for t in range(trials)
-        ]
-        if jobs > 1:
-            chunk = max(1, trials // (jobs * 4))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # one pool for the whole run, but mapped cell by cell, so a row's seconds
+    # times that cell alone
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for cell_idx, cell in enumerate(cells):
+            start = time.perf_counter()
+            packed = [
+                (cell.trial, cell.n, cell.d, cell.backend, cell.params, (seed, cell_idx, t))
+                for t in range(trials)
+            ]
+            if pool is not None:
+                chunk = max(1, trials // (jobs * 4))
                 results = list(pool.map(_run_trial, packed, chunksize=chunk))
-        else:
-            results = [_run_trial(p) for p in packed]
-        successes = sum(1 for ok, _, _ in results if ok)
-        lo, hi = wilson_interval(successes, trials)
-        records.append(
-            ResultRecord(
-                experiment=cell.experiment,
-                n=cell.n,
-                d=cell.d,
-                adversary=cell.adversary,
-                trials=trials,
-                success=successes / trials,
-                ci_lo=lo,
-                ci_hi=hi,
-                oracle_layers_mean=float(np.mean([r[1] for r in results])),
-                classical_queries_mean=float(np.mean([r[2] for r in results])),
-                seconds=round(time.perf_counter() - start, 3) if timing else 0.0,
+            else:
+                results = [_run_trial(p) for p in packed]
+            successes = sum(1 for ok, _, _ in results if ok)
+            lo, hi = wilson_interval(successes, trials)
+            records.append(
+                ResultRecord(
+                    experiment=cell.experiment,
+                    n=cell.n,
+                    d=cell.d,
+                    adversary=cell.adversary,
+                    trials=trials,
+                    success=successes / trials,
+                    ci_lo=lo,
+                    ci_hi=hi,
+                    oracle_layers_mean=float(np.mean([r[1] for r in results])),
+                    classical_queries_mean=float(np.mean([r[2] for r in results])),
+                    seconds=round(time.perf_counter() - start, 3) if timing else 0.0,
+                )
             )
-        )
     return records
 
 

@@ -33,12 +33,18 @@ class SimonInstance:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.table.shape != (1 << self.n,):
             raise ValueError(f"table must have 2^{self.n} entries, got {self.table.shape}")
-        distinct = len(np.unique(self.table))
+        size = 1 << self.n
+        if not np.issubdtype(self.table.dtype, np.integer):
+            raise ValueError(f"table must hold integers, got dtype {self.table.dtype}")
+        if self.table.min() < 0 or self.table.max() >= size:
+            raise ValueError(f"table values must lie in [0, 2^{self.n})")
+        # values are in range, so counting them is O(2^n), unlike sorting
+        counts = np.bincount(self.table.astype(np.intp, copy=False), minlength=size)
+        distinct = np.count_nonzero(counts)
         if self.kind is InstanceKind.SIMON:
-            if self.s is None or not 0 < self.s < (1 << self.n):
+            if self.s is None or not 0 < self.s < size:
                 raise ValueError(f"simon instance needs a nonzero shift, got {self.s}")
-            idx = np.arange(1 << self.n)
-            if not np.array_equal(self.table, self.table[idx ^ self.s]):
+            if not _collides_along(self.table, self.s):
                 raise ValueError("table does not collide along the declared shift")
             if distinct != 1 << (self.n - 1):
                 raise ValueError(f"two-to-one table must take {1 << (self.n - 1)} values")
@@ -65,7 +71,7 @@ class SimonInstance:
             n=int(data["n"]),
             kind=InstanceKind(data["kind"]),
             s=None if data["s"] is None else int(data["s"]),
-            table=np.asarray(data["table"], dtype=np.int64),
+            table=np.asarray(data["table"]),
         )
 
 
@@ -77,12 +83,12 @@ def sample_simon(n: int, rng: np.random.Generator) -> SimonInstance:
     s = int(rng.integers(1, 1 << n))
     size = 1 << n
     images = rng.permutation(size)[: size // 2]
+    # coset representatives {x : x < x ^ s}, ascending, take images in order
+    x = np.arange(size)
+    reps = x[x < (x ^ s)]
     table = np.empty(size, dtype=np.int64)
-    i = 0
-    for x in range(size):
-        if x < x ^ s:
-            table[x] = table[x ^ s] = images[i]
-            i += 1
+    table[reps] = images
+    table[reps ^ s] = images
     return SimonInstance(n=n, kind=InstanceKind.SIMON, s=s, table=table)
 
 
@@ -102,7 +108,8 @@ def sample_decision_instance(n: int, rng: np.random.Generator) -> SimonInstance:
 
 def verify_shift(instance: SimonInstance, s: int) -> bool:
     """True iff s is a genuine hidden shift of the table (s = 0 rejected)."""
-    if not 0 < s < (1 << instance.n):
-        return False
-    idx = np.arange(1 << instance.n)
-    return bool(np.array_equal(instance.table, instance.table[idx ^ s]))
+    return 0 < s < (1 << instance.n) and _collides_along(instance.table, s)
+
+
+def _collides_along(table: np.ndarray, s: int) -> bool:
+    return bool(np.array_equal(table, table[np.arange(len(table)) ^ s]))

@@ -60,6 +60,27 @@ def test_run_cells_deterministic_and_parallel_equal():
     assert a[0].success >= 0.9
 
 
+def test_run_cells_builds_one_pool_per_run(monkeypatch):
+    built = []
+    real = runner.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", counting_pool)
+    cells = [
+        runner._Cell("solve", 2, 1, "solver", "solve", "materialized", ()),
+        runner._Cell("classical", 3, 0, "classical", "classical", "materialized", (("q", 4),)),
+        runner._Cell("truncated", 2, 1, "truncated", "truncated", "materialized", (("budget", 1),)),
+    ]
+    serial = runner.run_cells(cells, trials=8, seed=9)
+    assert built == []
+    pooled = runner.run_cells(cells, trials=8, seed=9, jobs=2)
+    assert len(built) == 1
+    assert pooled == serial
+
+
 def test_cli_child_imports_package_under_test(tmp_path):
     # CLI tests run their child in tmp_path; it must import this very package,
     # not fail to find it nor pick up another installed copy.

@@ -12,6 +12,31 @@ from shufflesim.simon import (
 )
 
 
+def _loop_sample_simon(n, rng):
+    """Reference sampler: the per-element loop sample_simon used before it
+    was vectorized. Same two draws, representatives visited in ascending x."""
+    s = int(rng.integers(1, 1 << n))
+    size = 1 << n
+    images = rng.permutation(size)[: size // 2]
+    table = np.empty(size, dtype=np.int64)
+    i = 0
+    for x in range(size):
+        if x < x ^ s:
+            table[x] = table[x ^ s] = images[i]
+            i += 1
+    return s, table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
+def test_sample_simon_matches_loop_reference(n):
+    for t in range(5):
+        s, table = _loop_sample_simon(n, make_rng("draws", n, t))
+        inst = sample_simon(n, make_rng("draws", n, t))
+        assert inst.s == s
+        assert inst.table.dtype == table.dtype
+        assert inst.table.tobytes() == table.tobytes()
+
+
 def test_n1_simon_is_forced():
     inst = sample_simon(1, make_rng(1))
     assert inst.s == 1
@@ -95,3 +120,38 @@ def test_invalid_table_rejected():
     bad[0] ^= 1  # breaks the collision structure
     with pytest.raises(ValueError):
         SimonInstance(n=2, kind=InstanceKind.SIMON, s=inst.s, table=bad)
+
+
+_BAD_TABLES = [
+    # (kind, s, table): each is well formed apart from its values
+    (InstanceKind.ONE_TO_ONE, None, np.array([0, 1, 2, 7])),
+    (InstanceKind.ONE_TO_ONE, None, np.array([0, 1, 2, -1])),
+    (InstanceKind.ONE_TO_ONE, None, np.array([0.0, 1.0, 2.0, 3.0])),
+    (InstanceKind.SIMON, 1, np.array([0, 0, 7, 7])),
+    (InstanceKind.SIMON, 1, np.array([0, 0, -1, -1])),
+    (InstanceKind.SIMON, 1, np.array([0.0, 0.0, 1.0, 1.0])),
+]
+
+
+@pytest.mark.parametrize("kind, s, table", _BAD_TABLES)
+def test_out_of_range_and_non_integer_tables_rejected(kind, s, table):
+    with pytest.raises(ValueError):
+        SimonInstance(n=2, kind=kind, s=s, table=table)
+    data = {"n": 2, "kind": kind.value, "s": s, "table": table.tolist()}
+    with pytest.raises(ValueError):
+        SimonInstance.from_json_dict(data)
+
+
+def test_json_fractional_table_rejected():
+    # used to be truncated to [0, 0, 1, 1] and accepted
+    data = {"n": 2, "kind": "simon", "s": 1, "table": [0.5, 0.5, 1.5, 1.5]}
+    with pytest.raises(ValueError):
+        SimonInstance.from_json_dict(data)
+
+
+def test_narrow_integer_tables_accepted():
+    for dtype in (np.int8, np.uint16, np.uint64):
+        inst = SimonInstance(
+            n=2, kind=InstanceKind.ONE_TO_ONE, s=None, table=np.array([3, 1, 0, 2], dtype=dtype)
+        )
+        assert verify_shift(inst, 1) is False

@@ -147,6 +147,20 @@ def test_decision_candidate_cap():
         solver.solve_decision(orc, 0, rng, candidate_cap=3)
 
 
+def test_ledger_snapshot_is_independent():
+    led = DepthLedger()
+    led.record_oracle_layer()
+    led.record_violation("first")
+    snap = led.snapshot()
+    assert snap == led
+    snap.record_violation("second")
+    snap.record_oracle_layer()
+    snap.classical_queries = 7
+    assert led.violations == ["first"]
+    assert led.oracle_layers_total == 1 and led.oracle_layers_current_circuit == 1
+    assert led.classical_queries == 0
+
+
 def test_ledger_accumulates_across_rounds():
     rng = make_rng("acct")
     inst = simon.sample_simon(2, rng)
