@@ -38,7 +38,7 @@ class SimonInstance:
             raise ValueError(f"table must hold integers, got dtype {self.table.dtype}")
         if self.table.min() < 0 or self.table.max() >= size:
             raise ValueError(f"table values must lie in [0, 2^{self.n})")
-        # values are in range, so counting them is O(2^n), unlike sorting
+        # in range, so bincount counts the distinct values in O(2^n); it refuses uint64
         counts = np.bincount(self.table.astype(np.intp, copy=False), minlength=size)
         distinct = np.count_nonzero(counts)
         if self.kind is InstanceKind.SIMON:
