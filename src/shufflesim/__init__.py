@@ -6,138 +6,4 @@ adaptive queries of depth d+1, which is what the depth-budgeted schemes and
 adversaries here measure.
 """
 
-from .gf2 import BitMatrix, BitVector, dot, null_space_basis, rank, solves_to_zero
-from .hiding import (
-    FindBoundReport,
-    HiddenSets,
-    HidingReport,
-    MembershipReport,
-    ShadowOracle,
-    check_find_bound,
-    check_hiding_bound,
-    estimate_membership,
-    find_probability,
-    sample_hidden_sets,
-    shadow,
-)
-from .ledger import DepthLedger, DepthViolation
-from .oracle import (
-    BOT,
-    LazyShufflingOracle,
-    MaterializedShufflingOracle,
-    OracleError,
-    Path,
-    ShufflingOracle,
-    sample_shuffling,
-)
-from .qsim import (
-    MixedEnsemble,
-    RegisterLayout,
-    SimulatorError,
-    SparseState,
-    apply_oracle_xor,
-    basis_state,
-    bures_distance,
-    dense_statevector,
-    fidelity,
-    hadamard_register,
-    init_uniform,
-    measure_register,
-    trace_distance,
-)
-from .schemes import (
-    CircuitProgram,
-    SchemeBudget,
-    SuccessReport,
-    classical_collision_adversary,
-    estimate_success,
-    run_d_cq,
-    run_d_qc,
-    solver_cq_decision_adversary,
-    solver_qc_decision_adversary,
-    truncated_quantum_adversary,
-    wilson_interval,
-)
-from .simon import (
-    InstanceKind,
-    SimonInstance,
-    sample_decision_instance,
-    sample_one_to_one,
-    sample_simon,
-    verify_shift,
-)
-from .solver import (
-    RoundResult,
-    SolverError,
-    run_simon_round,
-    solve_decision,
-    solve_search,
-    solver_layout,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOT",
-    "BitMatrix",
-    "BitVector",
-    "CircuitProgram",
-    "DepthLedger",
-    "DepthViolation",
-    "FindBoundReport",
-    "HiddenSets",
-    "HidingReport",
-    "InstanceKind",
-    "LazyShufflingOracle",
-    "MaterializedShufflingOracle",
-    "MembershipReport",
-    "MixedEnsemble",
-    "OracleError",
-    "Path",
-    "RegisterLayout",
-    "RoundResult",
-    "SchemeBudget",
-    "ShadowOracle",
-    "ShufflingOracle",
-    "SimonInstance",
-    "SimulatorError",
-    "SolverError",
-    "SparseState",
-    "SuccessReport",
-    "apply_oracle_xor",
-    "basis_state",
-    "bures_distance",
-    "check_find_bound",
-    "check_hiding_bound",
-    "classical_collision_adversary",
-    "dense_statevector",
-    "dot",
-    "estimate_membership",
-    "estimate_success",
-    "fidelity",
-    "find_probability",
-    "hadamard_register",
-    "init_uniform",
-    "measure_register",
-    "null_space_basis",
-    "rank",
-    "run_d_cq",
-    "run_d_qc",
-    "run_simon_round",
-    "sample_decision_instance",
-    "sample_hidden_sets",
-    "sample_one_to_one",
-    "sample_shuffling",
-    "sample_simon",
-    "shadow",
-    "solve_decision",
-    "solve_search",
-    "solver_cq_decision_adversary",
-    "solver_layout",
-    "solver_qc_decision_adversary",
-    "solves_to_zero",
-    "trace_distance",
-    "truncated_quantum_adversary",
-    "verify_shift",
-    "wilson_interval",
-]

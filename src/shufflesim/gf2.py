@@ -115,10 +115,6 @@ def _reduced_rows(matrix: BitMatrix) -> list[tuple[int, int]]:
     return pivots
 
 
-def rank(matrix: BitMatrix) -> int:
-    return len(_reduced_rows(matrix))
-
-
 def null_space_basis(matrix: BitMatrix) -> list[BitVector]:
     """Deterministic basis of {v : Mv = 0}, one vector per free column.
 
@@ -139,6 +135,3 @@ def null_space_basis(matrix: BitMatrix) -> list[BitVector]:
         basis.append(BitVector(v, n))
     return basis
 
-
-def solves_to_zero(matrix: BitMatrix, v: BitVector) -> bool:
-    return all(dot(row, v) == 0 for row in matrix.rows)

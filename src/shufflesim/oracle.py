@@ -250,6 +250,15 @@ class ShufflingOracle:
             )
 
 
+def check_materialized_cap(domain_bits: int, cap: int = MATERIALIZED_CAP_BITS) -> None:
+    """Refuse a domain too wide for the materialized backend's tables."""
+    if domain_bits > cap:
+        raise OracleError(
+            f"(d+2)n = {domain_bits} bits exceeds the materialized cap "
+            f"of {cap}; use the lazy backend"
+        )
+
+
 class MaterializedShufflingOracle(ShufflingOracle):
     """Backend with fully sampled permutation tables; domain capped to keep
     the tables in memory."""
@@ -263,11 +272,7 @@ class MaterializedShufflingOracle(ShufflingOracle):
         **kwargs,
     ) -> None:
         super().__init__(instance, d, **kwargs)
-        if self.domain_bits > materialized_cap:
-            raise OracleError(
-                f"(d+2)n = {self.domain_bits} bits exceeds the materialized cap "
-                f"of {materialized_cap}; use the lazy backend"
-            )
+        check_materialized_cap(self.domain_bits, materialized_cap)
         size = self.domain_size
         self.tables = [rng.permutation(size).astype(np.int64) for _ in range(d)]
         points = np.arange(1 << self.n, dtype=np.int64)

@@ -1,20 +1,22 @@
-"""Sparse structured-state simulator and distance measures.
+"""Sparse structured-state simulator, circuit programs, and distance measures.
 
 States live on a named register layout and are stored as dicts mapping
 register-value tuples to amplitudes; the solver's access pattern keeps the
 support polynomial, so no dense 2^W vector is ever built except for the
-explicit conversion helpers. Oracle answers are XORed into target registers
+explicit conversion helper. Oracle answers are XORed into target registers
 (a basis permutation), Hadamard layers act on one register, and measurement
-collapses one register by the Born rule.
+collapses one register by the Born rule. A CircuitProgram lists such ops, and
+one Interpreter runs them, counting oracle layers and enforcing layer budgets.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ledger import DepthLedger
+from .ledger import DepthLedger, DepthViolation
 from .oracle import ShufflingOracle
 
 PRUNE_TOL = 1e-12
@@ -226,6 +228,131 @@ def measure_register(
     return outcome, SparseState(state.layout, {c: a * scale for c, a in keep.items()})
 
 
+# -- circuit programs --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CircuitProgram:
+    """Ops, run in order: ("uniform", reg) | ("hadamard", reg) |
+    ("oracle", query_spec) | ("measure", reg)."""
+
+    layout: RegisterLayout
+    ops: tuple
+
+    def measure_all(self) -> "CircuitProgram":
+        """This program, then a measurement of every register in layout order."""
+        return CircuitProgram(self.layout, self.ops + tuple(("measure", r) for r in self.layout.names))
+
+
+@functools.lru_cache(maxsize=256)
+def _linked_groups(program: CircuitProgram) -> tuple[dict[str, int], tuple]:
+    """The program's registers grouped by its oracle entries, each group in the
+    all-zero basis state; states are never mutated, so interpreters share them."""
+    layout = program.layout
+    group_of = {name: i for i, name in enumerate(layout.names)}
+    for _, a, b in (entry for kind, arg in program.ops if kind == "oracle" for entry in arg):
+        keep, drop = sorted((group_of[a], group_of[b]))
+        group_of.update({name: keep for name, g in group_of.items() if g == drop})
+    states: list[SparseState | None] = [None] * len(layout.names)
+    for g in set(group_of.values()):
+        names = tuple(name for name in layout.names if group_of[name] == g)
+        states[g] = basis_state(RegisterLayout(names, tuple(map(layout.width, names))))
+    return group_of, tuple(states)
+
+
+class Interpreter:
+    """Runs circuit ops on a sparse state factored into register groups, so
+    registers that never interact cost the sum, not the product, of their
+    supports. The program's oracle ops link groups up front; an oracle entry
+    coupling two groups merges them on demand. Every oracle layer is counted
+    on the ledger, and one beyond `depth` in the ledger's current circuit is
+    recorded as a violation and refused."""
+
+    def __init__(
+        self, program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator,
+        ledger: DepthLedger, depth: int | None = None,
+        over_depth: str = "depth budget of {} layers per circuit exceeded",
+    ) -> None:
+        self._oracle, self._rng, self.ledger = oracle, rng, ledger
+        self._depth, self._over_depth = depth, over_depth
+        group_of, states = _linked_groups(program)
+        self._group_of, self.states = dict(group_of), list(states)
+        self._touched: set[str] = set()
+        self.outcomes: dict[str, int] = {}
+
+    def _merge(self, a: int, b: int) -> None:
+        if a == b:
+            return
+        a, b = sorted((a, b))
+        sa, sb = self.states[a], self.states[b]
+        layout = RegisterLayout(sa.layout.names + sb.layout.names, sa.layout.widths + sb.layout.widths)
+        amps = {ca + cb: aa * ab for ca, aa in sa.amps.items() for cb, ab in sb.amps.items()}
+        self.states[a] = SparseState(layout, amps)
+        self.states[b] = None
+        for name in sb.layout.names:
+            self._group_of[name] = a
+
+    def uniform(self, name: str) -> None:
+        g = self._group_of[name]
+        if self._touched.intersection(self.states[g].layout.names):
+            raise SimulatorError(f"register {name!r} or one linked to it is in use; cannot reinitialize")
+        self._touched.add(name)
+        self.states[g] = init_uniform(self.states[g].layout, name)
+
+    def hadamard(self, name: str) -> None:
+        self._touched.add(name)
+        g = self._group_of[name]
+        self.states[g] = hadamard_register(self.states[g], name)
+
+    def oracle_layer(self, query_spec) -> None:
+        ledger = self.ledger
+        if self._depth is not None and ledger.oracle_layers_current_circuit >= self._depth:
+            ledger.record_violation(self._over_depth.format(self._depth))
+            raise DepthViolation(ledger.violations[-1], ledger)
+        for _, in_reg, target_reg in query_spec:
+            self._touched.update((in_reg, target_reg))
+            self._merge(self._group_of[in_reg], self._group_of[target_reg])
+        by_group: dict[int, list] = {}
+        for entry in query_spec:
+            by_group.setdefault(self._group_of[entry[1]], []).append(entry)
+        scratch = DepthLedger()
+        for g, entries in by_group.items():
+            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, scratch)
+        ledger.record_core(scratch.core_evaluations)
+        ledger.record_oracle_layer()
+
+    def measure(self, name: str) -> int:
+        self._touched.add(name)
+        g = self._group_of[name]
+        self.outcomes[name], self.states[g] = measure_register(self.states[g], name, self._rng)
+        return self.outcomes[name]
+
+    def register_values(self, name: str) -> set[int]:
+        return self.states[self._group_of[name]].register_values(name)
+
+    def run(self, ops) -> dict[str, int]:
+        """Run ops in order; returns the last outcome of each measured register."""
+        for kind, arg in ops:
+            if kind == "oracle":
+                self.oracle_layer(arg)
+            elif kind in ("uniform", "hadamard", "measure"):
+                getattr(self, kind)(arg)
+            else:
+                raise ValueError(f"unknown circuit op {kind!r}")
+        return self.outcomes
+
+
+def run_program(
+    program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator,
+    ledger: DepthLedger, depth: int | None = None,
+) -> Interpreter:
+    """Run a program as one circuit invocation; returns the interpreter that ran it."""
+    ledger.record_circuit()
+    machine = Interpreter(program, oracle, rng, ledger, depth)
+    machine.run(program.ops)
+    return machine
+
+
 def dense_statevector(state: SparseState, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
     """Pack the sparse state into a full 2^W vector (W capped)."""
     w = state.layout.total_width
@@ -239,20 +366,6 @@ def dense_statevector(state: SparseState, width_cap: int = DENSE_WIDTH_CAP) -> n
             idx |= v << off
         vec[idx] = amp
     return vec
-
-
-def state_from_dense(layout: RegisterLayout, vec: np.ndarray) -> SparseState:
-    if vec.shape != (1 << layout.total_width,):
-        raise SimulatorError(f"vector length {vec.shape} does not match layout width")
-    amps = {}
-    for idx in np.flatnonzero(np.abs(vec) > PRUNE_TOL):
-        rest = int(idx)
-        cfg = []
-        for w in layout.widths:
-            cfg.append(rest & ((1 << w) - 1))
-            rest >>= w
-        amps[tuple(cfg)] = complex(vec[idx])
-    return SparseState(layout, amps)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .hiding import (
     sample_hidden_sets,
 )
 from .ledger import DepthLedger, DepthViolation
-from .oracle import BOT, OracleError, sample_shuffling
+from .oracle import BOT, OracleError, _draw_uniform, check_materialized_cap, sample_shuffling
 from .qsim import init_uniform
 from .schemes import (
     SchemeBudget,
@@ -286,13 +286,27 @@ def _add_common(p: argparse.ArgumentParser, ranged: bool) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _resolve_common(args, default_trials: int) -> None:
+def _resolve_common(args, default_trials: int, n: int, d: int, backend: str | None = None) -> None:
+    """Fill in defaults (environment first) and make --n and --d lists, then refuse
+    any grid with a cell no trial can run; `backend` overrides --backend here."""
     args.seed = args.seed if args.seed is not None else _env("SEED", int, 0)
     args.trials = args.trials if args.trials is not None else _env("TRIALS", int, default_trials)
     args.backend = args.backend if args.backend is not None else _env("BACKEND", str, "materialized")
     args.jobs = args.jobs if args.jobs is not None else _env("JOBS", int, 1)
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
+    if args.trials < 1:
+        raise SystemExit("--trials must be at least 1")
+    args.n, args.d = _as_list(args.n, n), _as_list(args.d, d)
+    if min(args.n) < 1:
+        raise SystemExit("--n must be at least 1")
+    if min(args.d) < 0:
+        raise SystemExit("--d must be at least 0")
+    if (backend or args.backend) == "materialized":
+        try:
+            check_materialized_cap((max(args.d) + 2) * max(args.n))
+        except OracleError as exc:
+            raise SystemExit(f"--n {max(args.n)} --d {max(args.d)}: {exc}") from None
 
 
 def _as_list(value, fallback: int) -> list[int]:
@@ -305,13 +319,11 @@ def _as_list(value, fallback: int) -> list[int]:
 
 
 def _cmd_solve(args) -> None:
-    _resolve_common(args, default_trials=200)
-    n = args.n if args.n is not None else 3
-    d = args.d if args.d is not None else 1
+    _resolve_common(args, default_trials=200, n=3, d=1)
     params = ()
     if args.max_rounds is not None:
         params = (("max_rounds", args.max_rounds),)
-    cells = [_Cell("solve", n, d, "solver", "solve", args.backend, params)]
+    cells = [_Cell("solve", args.n[0], args.d[0], "solver", "solve", args.backend, params)]
     _emit_records(run_cells(cells, args.trials, args.seed, args.jobs, args.timing), args)
 
 
@@ -339,31 +351,28 @@ def _cell_for(experiment: str, kind: str, n: int, d: int, backend: str, args) ->
 
 
 def _cmd_sweep(args) -> None:
-    _resolve_common(args, default_trials=100)
+    _resolve_common(args, default_trials=100, n=3, d=1)
     kinds = [k.strip() for k in args.adversaries.split(",") if k.strip()]
     cells = [
         _cell_for("sweep", kind, n, d, args.backend, args)
-        for n in _as_list(args.n, 3)
-        for d in _as_list(args.d, 1)
+        for n in args.n
+        for d in args.d
         for kind in kinds
     ]
     _emit_records(run_cells(cells, args.trials, args.seed, args.jobs, args.timing), args)
 
 
 def _cmd_adversary(args) -> None:
-    _resolve_common(args, default_trials=200)
+    _resolve_common(args, default_trials=200, n=3, d=1)
     cells = [
-        _cell_for("adversary", args.kind, n, d, args.backend, args)
-        for n in _as_list(args.n, 3)
-        for d in _as_list(args.d, 1)
+        _cell_for("adversary", args.kind, n, d, args.backend, args) for n in args.n for d in args.d
     ]
     _emit_records(run_cells(cells, args.trials, args.seed, args.jobs, args.timing), args)
 
 
 def _cmd_o2h(args) -> None:
-    _resolve_common(args, default_trials=2000)
-    n = args.n if args.n is not None else 2
-    d = args.d if args.d is not None else 2
+    _resolve_common(args, default_trials=2000, n=2, d=2, backend="materialized")
+    n, d = args.n[0], args.d[0]
     l = args.l
     if not 1 <= l <= d:
         raise SystemExit(f"--l must be in 1..{d}")
@@ -406,9 +415,8 @@ def _cmd_o2h(args) -> None:
 
 
 def _cmd_sample_oracle(args) -> None:
-    _resolve_common(args, default_trials=1)
-    n = args.n if args.n is not None else 3
-    d = args.d if args.d is not None else 1
+    _resolve_common(args, default_trials=1, n=3, d=1)
+    n, d = args.n[0], args.d[0]
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
     if args.kind == "simon":
         instance = sample_simon(n, rng)
@@ -418,7 +426,7 @@ def _cmd_sample_oracle(args) -> None:
         instance = sample_decision_instance(n, rng)
     oracle = sample_shuffling(instance, d, rng, backend=args.backend, record_transcript=True)
     paths = [list(oracle.query_path(x).points) for x in range(min(args.paths, 1 << n))]
-    probe_x = int(rng.integers(oracle.domain_size))
+    probe_x = _draw_uniform(rng, oracle.domain_size)
     probe = oracle.query_point(d, probe_x)
     report = {
         "instance": instance.to_json_dict(),

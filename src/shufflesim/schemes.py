@@ -7,23 +7,22 @@ invocation budget; the persistent-state harness allows partial measurement
 after every layer but caps total oracle layers. Circuits are restricted to
 uniform initialization, Hadamard layers, parallel oracle layers, and
 measurement, which covers every strategy simulated here while keeping states
-sparse. Internally, registers that never interact stay in independent factor
-groups, so adversaries running many solver banks in parallel cost the sum,
-not the product, of their supports.
+sparse. Both harnesses run their ops on qsim's circuit Interpreter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qsim
-from .gf2 import BitMatrix, BitVector, null_space_basis
+from .gf2 import BitVector
 from .ledger import DepthLedger, DepthViolation
-from .oracle import ShufflingOracle
+from .oracle import ShufflingOracle, _draw_uniform
+from .qsim import CircuitProgram
 from .simon import InstanceKind
-from .solver import solve_decision, solver_layout, _input_register
+from .solver import decide_from_samples, round_program, solve_decision
 
 
 @dataclass(frozen=True)
@@ -34,80 +33,6 @@ class SchemeBudget:
     depth: int
     circuits: int | None = None
     classical_queries: int | None = None
-
-
-@dataclass(frozen=True)
-class CircuitProgram:
-    """Ops: ("uniform", reg) | ("hadamard", reg) | ("oracle", query_spec).
-    The harness measures every register after the last op."""
-
-    layout: qsim.RegisterLayout
-    ops: tuple
-
-
-class _Groups:
-    """Sparse states factored into independent register groups; groups merge
-    only when an oracle entry couples two of them."""
-
-    def __init__(self, layout: qsim.RegisterLayout) -> None:
-        self.layout = layout
-        self.states: list[qsim.SparseState] = [
-            qsim.basis_state(qsim.RegisterLayout((name,), (w,)))
-            for name, w in zip(layout.names, layout.widths)
-        ]
-        self._group_of = {name: i for i, name in enumerate(layout.names)}
-        self._touched: set[str] = set()
-
-    def _merge(self, a: int, b: int) -> int:
-        if a == b:
-            return a
-        a, b = sorted((a, b))
-        sa, sb = self.states[a], self.states[b]
-        layout = qsim.RegisterLayout(
-            sa.layout.names + sb.layout.names, sa.layout.widths + sb.layout.widths
-        )
-        amps = {}
-        for ca, aa in sa.amps.items():
-            for cb, ab in sb.amps.items():
-                amps[ca + cb] = aa * ab
-        self.states[a] = qsim.SparseState(layout, amps)
-        self.states[b] = None
-        for name in sb.layout.names:
-            self._group_of[name] = a
-        return a
-
-    def uniform(self, name: str) -> None:
-        g = self._group_of[name]
-        if name in self._touched or len(self.states[g].layout.names) > 1:
-            raise qsim.SimulatorError(f"register {name!r} already in use; cannot reinitialize")
-        self._touched.add(name)
-        self.states[g] = qsim.init_uniform(self.states[g].layout, name)
-
-    def hadamard(self, name: str) -> None:
-        self._touched.add(name)
-        g = self._group_of[name]
-        self.states[g] = qsim.hadamard_register(self.states[g], name)
-
-    def oracle_layer(self, oracle: ShufflingOracle, query_spec, ledger: DepthLedger) -> None:
-        by_group: dict[int, list] = {}
-        for level, in_reg, target_reg in query_spec:
-            self._touched.update((in_reg, target_reg))
-            g = self._merge(self._group_of[in_reg], self._group_of[target_reg])
-            by_group.setdefault(g, []).append((level, in_reg, target_reg))
-        merged: dict[int, list] = {}
-        for g, entries in by_group.items():
-            merged.setdefault(self._group_of[entries[0][1]], []).extend(entries)
-        scratch = DepthLedger()
-        for g, entries in merged.items():
-            self.states[g] = qsim.apply_oracle_xor(self.states[g], oracle, entries, scratch)
-        ledger.record_core(scratch.core_evaluations)
-        ledger.record_oracle_layer()
-
-    def measure(self, name: str, rng: np.random.Generator) -> int:
-        self._touched.add(name)
-        g = self._group_of[name]
-        outcome, self.states[g] = qsim.measure_register(self.states[g], name, rng)
-        return outcome
 
 
 class _CapsBase:
@@ -122,9 +47,7 @@ class _CapsBase:
     def _check_classical(self, cost: int) -> None:
         cap = self._budget.classical_queries
         if cap is not None and self.ledger.classical_queries + cost > cap:
-            self.ledger.record_violation(
-                f"classical query budget of {cap} exceeded"
-            )
+            self.ledger.record_violation(f"classical query budget of {cap} exceeded")
             raise DepthViolation(self.ledger.violations[-1], self.ledger)
 
     def query(self, level: int, x: int):
@@ -140,28 +63,14 @@ class CircuitSchemeCaps(_CapsBase):
     """Capabilities handed to a circuit-per-invocation adversary."""
 
     def run_circuit(self, program: CircuitProgram) -> dict[str, int]:
+        """Run one circuit, then measure every register in layout order."""
         budget = self._budget
         if budget.circuits is not None and self.ledger.circuits_invoked >= budget.circuits:
             self.ledger.record_violation(f"circuit budget of {budget.circuits} exceeded")
             raise DepthViolation(self.ledger.violations[-1], self.ledger)
-        self.ledger.record_circuit()
-        groups = _Groups(program.layout)
-        for op in program.ops:
-            kind, arg = op
-            if kind == "uniform":
-                groups.uniform(arg)
-            elif kind == "hadamard":
-                groups.hadamard(arg)
-            elif kind == "oracle":
-                if self.ledger.oracle_layers_current_circuit + 1 > budget.depth:
-                    self.ledger.record_violation(
-                        f"depth budget of {budget.depth} layers per circuit exceeded"
-                    )
-                    raise DepthViolation(self.ledger.violations[-1], self.ledger)
-                groups.oracle_layer(self._oracle, arg, self.ledger)
-            else:
-                raise ValueError(f"unknown circuit op {kind!r}")
-        return {name: groups.measure(name, self._rng) for name in program.layout.names}
+        return qsim.run_program(
+            program.measure_all(), self._oracle, self._rng, self.ledger, budget.depth
+        ).outcomes
 
 
 class PersistentSchemeCaps(_CapsBase):
@@ -170,36 +79,38 @@ class PersistentSchemeCaps(_CapsBase):
 
     def __init__(self, oracle, budget, rng):
         super().__init__(oracle, budget, rng)
-        self._groups: _Groups | None = None
+        self._machine: qsim.Interpreter | None = None
         self.ledger.record_circuit()
 
     def declare(self, layout: qsim.RegisterLayout) -> None:
-        if self._groups is not None:
+        if self._machine is not None:
             raise qsim.SimulatorError("layout already declared")
-        self._groups = _Groups(layout)
+        self._machine = qsim.Interpreter(
+            CircuitProgram(layout, ()), self._oracle, self._rng, self.ledger, self._budget.depth,
+            over_depth="total depth budget of {} layers exceeded",
+        )
 
-    def _need_groups(self) -> _Groups:
-        if self._groups is None:
+    def _need_machine(self) -> qsim.Interpreter:
+        if self._machine is None:
             raise qsim.SimulatorError("declare a layout before quantum ops")
-        return self._groups
+        return self._machine
 
     def uniform(self, register: str) -> None:
-        self._need_groups().uniform(register)
+        self._need_machine().uniform(register)
 
     def hadamard(self, register: str) -> None:
-        self._need_groups().hadamard(register)
+        self._need_machine().hadamard(register)
 
     def oracle_layer(self, query_spec) -> None:
-        if self.ledger.oracle_layers_total + 1 > self._budget.depth:
-            self.ledger.record_violation(
-                f"total depth budget of {self._budget.depth} layers exceeded"
-            )
-            raise DepthViolation(self.ledger.violations[-1], self.ledger)
-        self._need_groups().oracle_layer(self._oracle, query_spec, self.ledger)
+        self._need_machine().oracle_layer(query_spec)
 
     def measure(self, *registers: str) -> dict[str, int]:
-        groups = self._need_groups()
-        return {name: groups.measure(name, self._rng) for name in registers}
+        machine = self._need_machine()
+        return {name: machine.measure(name) for name in registers}
+
+    def run(self, ops) -> dict[str, int]:
+        """Run program ops on the declared state; returns every outcome so far."""
+        return self._need_machine().run(ops)
 
 
 def run_d_cq(adversary, oracle: ShufflingOracle, budget: SchemeBudget, rng: np.random.Generator):
@@ -241,16 +152,6 @@ def classical_collision_adversary(
     return _collision_probe(lambda x: oracle.query_path(x, ledger).final, oracle.n, q, rng)
 
 
-def cq_classical_adversary(q: int):
-    """classical_collision_adversary phrased as a zero-circuit scheme
-    adversary; byte-for-byte the same probe sequence given the same rng."""
-
-    def adversary(caps, rng: np.random.Generator) -> int | None:
-        return _collision_probe(lambda x: caps.path(x).final, caps.n, q, rng)
-
-    return adversary
-
-
 def truncated_quantum_adversary(
     oracle: ShufflingOracle,
     budget_depth: int,
@@ -271,20 +172,12 @@ def truncated_quantum_adversary(
     if budget_depth >= 2 * d + 1:
         return solve_decision(oracle, n + 10, rng, ledger), ledger
     layers = min(budget_depth, d + 1)
-    ledger.record_circuit()
-    layout = solver_layout(n, d)
-    state = qsim.init_uniform(layout, "Q")
-    for i in range(layers):
-        state = qsim.apply_oracle_xor(state, oracle, [(i, _input_register(i), f"N{i}")], ledger)
-    observed = {}
-    for name in layout.names:
-        observed[name], state = qsim.measure_register(state, name, rng)
+    chase = round_program(n, d)
+    prefix = CircuitProgram(chase.layout, chase.ops[: 1 + layers])
+    observed = qsim.run_program(prefix.measure_all(), oracle, rng, ledger).outcomes
     if layers <= d:
-        for k in range(min(probes, 1 << oracle.domain_bits)):
-            level = k % d if d else 0
-            if level >= d:
-                continue
-            oracle.query_point(level, int(rng.integers(oracle.domain_size)), ledger)
+        for k in range(min(probes, 1 << oracle.domain_bits) if d else 0):
+            oracle.query_point(k % d, _draw_uniform(rng, oracle.domain_size), ledger)
         guess = InstanceKind.SIMON if rng.integers(2) == 0 else InstanceKind.ONE_TO_ONE
         return guess, ledger
     finals = {oracle.decode_answer(d, observed[f"N{d}"]): observed["Q"]}
@@ -296,45 +189,32 @@ def truncated_quantum_adversary(
     return InstanceKind.ONE_TO_ONE, ledger
 
 
-def solver_circuit_program(n: int, d: int) -> CircuitProgram:
-    """The full solver round as one depth-(2d+1) circuit in deferred-
-    measurement form; the Fourier sample is the measured Q."""
-    layout = solver_layout(n, d)
-    ops: list[tuple] = [("uniform", "Q")]
-    for i in range(d + 1):
-        ops.append(("oracle", ((i, _input_register(i), f"N{i}"),)))
-    for i in reversed(range(d)):
-        ops.append(("oracle", ((i, _input_register(i), f"N{i}"),)))
-    ops.append(("hadamard", "Q"))
-    return CircuitProgram(layout, tuple(ops))
-
-
-def _decide_from_rows(caps, rows: list[BitVector], n: int) -> InstanceKind:
-    basis = null_space_basis(BitMatrix(tuple(rows), n))
-    if not basis:
-        return InstanceKind.ONE_TO_ONE
-    candidates = set()
-    for b in basis:
-        for c in list(candidates):
-            candidates.add(c ^ b.value)
-        candidates.add(b.value)
-    candidates.discard(0)
-    base = caps.path(0).final
-    for v in sorted(candidates):
-        if caps.path(v).final == base:
-            return InstanceKind.SIMON
-    return InstanceKind.ONE_TO_ONE
+def _banked(program: CircuitProgram, banks: int) -> CircuitProgram:
+    """`banks` copies of a program on disjoint registers (suffix _b) run in
+    lockstep: each oracle op becomes one parallel layer over every copy."""
+    layout = program.layout
+    names = tuple(f"{name}_{b}" for b in range(banks) for name in layout.names)
+    ops: list[tuple] = []
+    for kind, arg in program.ops:
+        if kind == "oracle":
+            spec = tuple((lvl, f"{i}_{b}", f"{t}_{b}") for b in range(banks) for lvl, i, t in arg)
+            ops.append((kind, spec))
+        else:
+            ops.extend((kind, f"{arg}_{b}") for b in range(banks))
+    return CircuitProgram(qsim.RegisterLayout(names, layout.widths * banks), tuple(ops))
 
 
 def solver_cq_decision_adversary(n: int, d: int, rounds: int):
     """The solver phrased as a circuit-scheme adversary: `rounds` circuits of
     depth 2d+1, then classical elimination and path confirmation."""
 
-    program = solver_circuit_program(n, d)
+    # deferred measurement: the harness measures every register at the end
+    solver = round_program(n, d)
+    program = CircuitProgram(solver.layout, tuple(op for op in solver.ops if op[0] != "measure"))
 
     def adversary(caps: CircuitSchemeCaps, rng: np.random.Generator) -> InstanceKind:
         rows = [BitVector(caps.run_circuit(program)["Q"], n) for _ in range(rounds)]
-        return _decide_from_rows(caps, rows, n)
+        return decide_from_samples(rows, n, lambda x: caps.path(x).final)
 
     return adversary
 
@@ -344,44 +224,18 @@ def solver_qc_decision_adversary(n: int, d: int, rounds: int):
     advance through the same 2d+1 oracle layers in parallel, each layer one
     parallel query over all banks, with the core registers measured mid-run."""
 
+    program = _banked(round_program(n, d), rounds)
+
     def adversary(caps: PersistentSchemeCaps, rng: np.random.Generator) -> InstanceKind:
-        names, widths = [], []
-        per_bank = solver_layout(n, d)
-        for b in range(rounds):
-            names.extend(f"{name}_{b}" for name in per_bank.names)
-            widths.extend(per_bank.widths)
-        caps.declare(qsim.RegisterLayout(tuple(names), tuple(widths)))
-        for b in range(rounds):
-            caps.uniform(f"Q_{b}")
-
-        def bank_spec(i: int) -> tuple:
-            src = "Q" if i == 0 else f"N{i - 1}"
-            return tuple((i, f"{src}_{b}", f"N{i}_{b}") for b in range(rounds))
-
-        for i in range(d + 1):
-            caps.oracle_layer(bank_spec(i))
-        caps.measure(*(f"N{d}_{b}" for b in range(rounds)))
-        for i in reversed(range(d)):
-            caps.oracle_layer(bank_spec(i))
-        for b in range(rounds):
-            caps.hadamard(f"Q_{b}")
-        outcomes = caps.measure(*(f"Q_{b}" for b in range(rounds)))
+        caps.declare(program.layout)
+        outcomes = caps.run(program.ops)
         rows = [BitVector(outcomes[f"Q_{b}"], n) for b in range(rounds)]
-        return _decide_from_rows(caps, rows, n)
+        return decide_from_samples(rows, n, lambda x: caps.path(x).final)
 
     return adversary
 
 
 # -- success estimation ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SuccessReport:
-    trials: int
-    successes: int
-    rate: float
-    ci_lo: float
-    ci_hi: float
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -392,10 +246,3 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     center = (p + z * z / (2 * trials)) / denom
     half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def estimate_success(trial, trials: int, rng: np.random.Generator) -> SuccessReport:
-    """Run `trial(rng) -> bool` repeatedly; rate with a 95% Wilson interval."""
-    successes = sum(1 for _ in range(trials) if trial(rng))
-    lo, hi = wilson_interval(successes, trials)
-    return SuccessReport(trials=trials, successes=successes, rate=successes / trials, ci_lo=lo, ci_hi=hi)

@@ -9,8 +9,8 @@ elimination over collected rounds recovers the shift or certifies full rank.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -44,52 +44,64 @@ def solver_layout(n: int, d: int) -> qsim.RegisterLayout:
     return qsim.RegisterLayout(tuple(names), tuple(widths))
 
 
-def _input_register(i: int) -> str:
-    return "Q" if i == 0 else f"N{i - 1}"
+@functools.cache
+def round_program(n: int, d: int) -> qsim.CircuitProgram:
+    """One solver round: chase N0..Nd, measure the core answer Nd, uncompute
+    N{d-1}..N0 in reverse, then Fourier-sample Q; 2d+1 oracle layers."""
+
+    def layer(i: int) -> tuple:
+        return ("oracle", ((i, "Q" if i == 0 else f"N{i - 1}", f"N{i}"),))
+
+    ops = [("uniform", "Q"), *map(layer, range(d + 1)), ("measure", f"N{d}")]
+    ops += [*map(layer, reversed(range(d))), ("hadamard", "Q"), ("measure", "Q")]
+    return qsim.CircuitProgram(solver_layout(n, d), tuple(ops))
 
 
 def run_simon_round(
     oracle: ShufflingOracle,
     rng: np.random.Generator,
     ledger: DepthLedger | None = None,
-    uncompute: str = "sequential",
 ) -> RoundResult:
-    """One solver round; exactly 2d+1 oracle layers with the default
-    sequential uncompute, d+2 with the single simultaneous-read layer."""
-    if uncompute not in ("sequential", "parallel"):
-        raise ValueError(f"unknown uncompute schedule {uncompute!r}")
+    """One solver round; exactly 2d+1 oracle layers."""
     n, d = oracle.n, oracle.d
     ledger = ledger if ledger is not None else DepthLedger()
-    ledger.record_circuit()
-    layout = solver_layout(n, d)
-    state = qsim.init_uniform(layout, "Q")
-    for i in range(d + 1):
-        state = qsim.apply_oracle_xor(state, oracle, [(i, _input_register(i), f"N{i}")], ledger)
-    raw_core, state = qsim.measure_register(state, f"N{d}", rng)
-    core = oracle.decode_answer(d, raw_core)
-    if uncompute == "sequential":
-        for i in reversed(range(d)):
-            state = qsim.apply_oracle_xor(state, oracle, [(i, _input_register(i), f"N{i}")], ledger)
-    elif d > 0:
-        spec = [(i, _input_register(i), f"N{i}") for i in reversed(range(d))]
-        state = qsim.apply_oracle_xor(state, oracle, spec, ledger)
+    machine = qsim.run_program(round_program(n, d), oracle, rng, ledger)
     for i in range(d):
-        leftover = state.register_values(f"N{i}")
+        leftover = machine.register_values(f"N{i}")
         if leftover != {0}:
             raise SolverError(f"uncompute left N{i} holding {sorted(leftover)}")
-    state = qsim.hadamard_register(state, "Q")
-    j, _ = qsim.measure_register(state, "Q", rng)
+    core = oracle.decode_answer(d, machine.outcomes[f"N{d}"])
     return RoundResult(
-        j=BitVector(j, n),
+        j=BitVector(machine.outcomes["Q"], n),
         core_value=None if core is BOT else int(core),
         oracle_layers=ledger.oracle_layers_current_circuit,
         ledger=ledger.snapshot(),
     )
 
 
-def _null_vectors(rows: list[BitVector], n: int) -> list[BitVector]:
-    matrix = BitMatrix(tuple(rows), n)
-    return null_space_basis(matrix)
+def decide_from_samples(
+    rows: list[BitVector], n: int, path_final, candidate_cap: int = 4096
+) -> InstanceKind:
+    """Decide Simon versus one-to-one from Fourier samples. Full rank
+    certifies one-to-one; otherwise each nonzero null-space vector v, cheapest
+    first, is checked for path_final(v) == path_final(0), which is conclusive
+    for Simon since injective instances admit no such pair."""
+    basis = null_space_basis(BitMatrix(tuple(rows), n))
+    if not basis:
+        return InstanceKind.ONE_TO_ONE
+    if (1 << len(basis)) - 1 > candidate_cap:
+        raise SolverError(
+            f"{(1 << len(basis)) - 1} null-space candidates exceed the cap of "
+            f"{candidate_cap}; collect more rounds"
+        )
+    span = {0}
+    for b in basis:
+        span |= {v ^ b.value for v in span}
+    base = path_final(0)
+    for v in sorted(span - {0}):
+        if path_final(v) == base:
+            return InstanceKind.SIMON
+    return InstanceKind.ONE_TO_ONE
 
 
 def solve_search(
@@ -111,7 +123,7 @@ def solve_search(
     rows: list[BitVector] = []
     rounds = 0
     while True:
-        basis = _null_vectors(rows, n)
+        basis = null_space_basis(BitMatrix(tuple(rows), n))
         if not basis:
             raise SolverError("sample matrix reached full rank; instance violates the promise")
         if len(basis) == 1:
@@ -133,33 +145,9 @@ def solve_decision(
     ledger: DepthLedger | None = None,
     candidate_cap: int = 4096,
 ) -> InstanceKind:
-    """Decide Simon versus one-to-one.
-
-    Full-rank samples certify one-to-one outright. Otherwise every nonzero
-    null-space vector is path-checked (cheapest first); an equal pair of path
-    endpoints is conclusive for Simon, since injective instances admit none.
-    """
-    n = oracle.n
+    """Decide Simon versus one-to-one from `rounds` solver rounds."""
     ledger = ledger if ledger is not None else DepthLedger()
     rows = [run_simon_round(oracle, rng, ledger).j for _ in range(rounds)]
-    basis = _null_vectors(rows, n)
-    if not basis:
-        return InstanceKind.ONE_TO_ONE
-    if (1 << len(basis)) - 1 > candidate_cap:
-        raise SolverError(
-            f"{(1 << len(basis)) - 1} null-space candidates exceed the cap of "
-            f"{candidate_cap}; collect more rounds"
-        )
-    candidates = set()
-    for r in range(1, len(basis) + 1):
-        for combo in combinations(basis, r):
-            v = 0
-            for b in combo:
-                v ^= b.value
-            if v:
-                candidates.add(v)
-    base = oracle.query_path(0, ledger).final
-    for v in sorted(candidates):
-        if oracle.query_path(v, ledger).final == base:
-            return InstanceKind.SIMON
-    return InstanceKind.ONE_TO_ONE
+    return decide_from_samples(
+        rows, oracle.n, lambda x: oracle.query_path(x, ledger).final, candidate_cap
+    )

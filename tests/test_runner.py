@@ -11,6 +11,8 @@ from shufflesim.ledger import DepthLedger
 
 from conftest import cli_env
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def _cli(args, tmp_path, env_extra=None):
     return subprocess.run(
@@ -209,3 +211,57 @@ def test_sample_oracle_dump(tmp_path):
     assert probe["answer"] == "bot" or isinstance(probe["answer"], int)
     again = _cli(args, tmp_path)
     assert again.stdout == res.stdout
+
+
+_SWEEP = ["sweep", "--n", "2..3", "--d", "0..1", "--trials", "10", "--seed", "12",
+          "--adversaries", "solver,decision,truncated,cq-solver,qc-solver,classical"]
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("sweep_materialized.json", [*_SWEEP, "--backend", "materialized"]),
+        ("sweep_lazy.json", [*_SWEEP, "--backend", "lazy"]),
+        ("solve.json", ["solve", "--n", "3", "--d", "2", "--trials", "30", "--seed", "7"]),
+    ],
+    ids=["sweep-materialized", "sweep-lazy", "solve"],
+)
+def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
+    # golden files were written by an earlier build; any moved seeded output,
+    # in any strategy or on either backend, shows up here
+    for name in ("SEED", "TRIALS", "BACKEND", "JOBS"):
+        monkeypatch.delenv(f"SHUFFLESIM_{name}", raising=False)
+    out = tmp_path / golden
+    assert runner.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--n", "10", "--d", "1"], "exceeds the materialized cap"),
+        (["solve", "--trials", "0"], "--trials must be at least 1"),
+        (["solve", "--n", "0"], "--n must be at least 1"),
+        (["solve", "--d", "-1"], "--d must be at least 0"),
+        (["sweep", "--n", "2,10", "--d", "1"], "exceeds the materialized cap"),
+    ],
+    ids=["materialized-cap", "zero-trials", "zero-n", "negative-d", "one-oversize-sweep-cell"],
+)
+def test_unrunnable_inputs_exit_before_any_trial(argv, message, monkeypatch):
+    def no_trial(packed):
+        raise AssertionError(f"trial {packed} started")
+
+    monkeypatch.setattr(runner, "_run_trial", no_trial)
+    with pytest.raises(SystemExit) as exc:
+        runner.main(argv)
+    assert message in str(exc.value)
+    assert "\n" not in str(exc.value)
+
+
+def test_sample_oracle_probes_a_wide_lazy_domain(tmp_path):
+    # (d+2)n = 64 bits: the core probe exceeds the generator's int64 range
+    out = tmp_path / "oracle.json"
+    argv = ["sample-oracle", "--n", "1", "--d", "62", "--backend", "lazy", "--seed", "3"]
+    assert runner.main([*argv, "--out", str(out)]) == 0
+    probe = json.loads(out.read_text())["core_probe"]
+    assert 0 <= probe["x"] < 1 << 64

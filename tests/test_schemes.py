@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,32 @@ from shufflesim.ledger import DepthLedger, DepthViolation
 from shufflesim.simon import InstanceKind
 
 from conftest import make_rng
+
+
+def cq_classical_adversary(q):
+    """classical_collision_adversary phrased as a zero-circuit scheme
+    adversary; byte-for-byte the same probe sequence given the same rng."""
+
+    def adversary(caps, rng):
+        return schemes._collision_probe(lambda x: caps.path(x).final, caps.n, q, rng)
+
+    return adversary
+
+
+@dataclass(frozen=True)
+class SuccessReport:
+    trials: int
+    successes: int
+    rate: float
+    ci_lo: float
+    ci_hi: float
+
+
+def estimate_success(trial, trials, rng):
+    """Run `trial(rng) -> bool` repeatedly; rate with a 95% Wilson interval."""
+    successes = sum(1 for _ in range(trials) if trial(rng))
+    lo, hi = schemes.wilson_interval(successes, trials)
+    return SuccessReport(trials, successes, successes / trials, lo, hi)
 
 
 def _mixed_oracle(n, d, rng):
@@ -104,7 +132,7 @@ def test_cq_classical_adversary_matches_bare_collision_search():
         led = DepthLedger()
         bare = schemes.classical_collision_adversary(orc, 5, rng_a, led)
         out, sched_led = schemes.run_d_cq(
-            schemes.cq_classical_adversary(5), orc, schemes.SchemeBudget(depth=0), rng_b
+            cq_classical_adversary(5), orc, schemes.SchemeBudget(depth=0), rng_b
         )
         assert out == bare
         assert sched_led.classical_queries == led.classical_queries
@@ -161,6 +189,16 @@ def test_truncated_below_core_is_a_coin_with_no_core_reads():
     rate = hits / trials
     sigma = np.sqrt(0.25 / trials)
     assert abs(rate - 0.5) <= 3 * sigma
+
+
+def test_truncated_probes_a_wide_lazy_domain():
+    # (d+2)n = 64 bits: probe points exceed the generator's int64 range
+    rng = make_rng("trunc-wide")
+    orc = oracle.sample_shuffling(simon.sample_decision_instance(1, rng), 62, rng, backend="lazy")
+    guess, led = schemes.truncated_quantum_adversary(orc, 1, rng)
+    assert guess in (InstanceKind.SIMON, InstanceKind.ONE_TO_ONE)
+    assert led.oracle_layers_total == 1 and led.core_evaluations == 0
+    assert led.classical_queries == 8
 
 
 def test_solver_cq_adversary_decides_within_budget():
@@ -258,11 +296,11 @@ def test_wilson_interval_reference_values():
 
 def test_estimate_success_reports():
     rng = make_rng("estimate")
-    sure = schemes.estimate_success(lambda r: True, 600, rng)
+    sure = estimate_success(lambda r: True, 600, rng)
     assert sure.rate == 1.0
     assert sure.ci_lo >= 0.99 and sure.ci_hi == pytest.approx(1.0, abs=1e-12)
-    coin = schemes.estimate_success(lambda r: bool(r.integers(2)), 10_000, rng)
+    coin = estimate_success(lambda r: bool(r.integers(2)), 10_000, rng)
     assert abs(coin.rate - 0.5) <= 0.015
     assert coin.ci_lo <= 0.5 <= coin.ci_hi
-    broken = schemes.estimate_success(lambda r: False, 200, rng)
+    broken = estimate_success(lambda r: False, 200, rng)
     assert broken.rate == 0.0 and broken.ci_lo == 0.0

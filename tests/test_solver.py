@@ -1,11 +1,51 @@
 import numpy as np
 import pytest
 
-from shufflesim import gf2, oracle, simon, solver
+from shufflesim import gf2, oracle, qsim, simon, solver
 from shufflesim.ledger import DepthLedger
+from shufflesim.oracle import BOT
 from shufflesim.simon import InstanceKind
 
 from conftest import make_rng
+
+
+def _entry(i):
+    return (i, "Q" if i == 0 else f"N{i - 1}", f"N{i}")
+
+
+def _reference_round(orc, rng, ledger):
+    """The joint-state round the interpreter replaced: direct qsim calls on
+    one state over the whole solver layout. Returns (j, core_value)."""
+    n, d = orc.n, orc.d
+    ledger.record_circuit()
+    state = qsim.init_uniform(solver.solver_layout(n, d), "Q")
+    for i in range(d + 1):
+        state = qsim.apply_oracle_xor(state, orc, [_entry(i)], ledger)
+    raw_core, state = qsim.measure_register(state, f"N{d}", rng)
+    core = orc.decode_answer(d, raw_core)
+    for i in reversed(range(d)):
+        state = qsim.apply_oracle_xor(state, orc, [_entry(i)], ledger)
+    for i in range(d):
+        assert state.register_values(f"N{i}") == {0}
+    state = qsim.hadamard_register(state, "Q")
+    j, _ = qsim.measure_register(state, "Q", rng)
+    return j, None if core is BOT else int(core)
+
+
+def _parallel_uncompute_program(n, d):
+    """The round with its d uncompute layers folded into one layer of
+    simultaneous reads: d+2 oracle layers."""
+    ops = [("uniform", "Q"), *(("oracle", (_entry(i),)) for i in range(d + 1))]
+    ops += [("measure", f"N{d}"), ("oracle", tuple(_entry(i) for i in reversed(range(d))))]
+    ops += [("hadamard", "Q"), ("measure", "Q")]
+    return qsim.CircuitProgram(solver.solver_layout(n, d), tuple(ops))
+
+
+def _run_parallel_uncompute(orc, rng, ledger):
+    machine = qsim.run_program(_parallel_uncompute_program(orc.n, orc.d), orc, rng, ledger)
+    for i in range(orc.d):
+        assert machine.register_values(f"N{i}") == {0}
+    return gf2.BitVector(machine.outcomes["Q"], orc.n)
 
 
 def test_round_layer_count_sequential():
@@ -24,10 +64,9 @@ def test_round_layer_count_parallel_uncompute():
         rng = make_rng("parlayers", d)
         inst = simon.sample_simon(2, rng)
         orc = oracle.sample_shuffling(inst, d, rng)
-        res = solver.run_simon_round(orc, rng, uncompute="parallel")
-        assert res.oracle_layers == d + 2
-    with pytest.raises(ValueError):
-        solver.run_simon_round(orc, make_rng("bad"), uncompute="zigzag")
+        led = DepthLedger()
+        _run_parallel_uncompute(orc, rng, led)
+        assert led.oracle_layers_current_circuit == d + 2
 
 
 def test_round_j_orthogonal_to_shift():
@@ -46,8 +85,29 @@ def test_round_j_orthogonal_with_parallel_uncompute():
     orc = oracle.sample_shuffling(inst, 1, rng)
     s = gf2.BitVector(inst.s, 2)
     for _ in range(40):
-        res = solver.run_simon_round(orc, rng, uncompute="parallel")
-        assert gf2.dot(res.j, s) == 0
+        assert gf2.dot(_run_parallel_uncompute(orc, rng, DepthLedger()), s) == 0
+
+
+@pytest.mark.parametrize("backend", ["lazy", "materialized"])
+def test_round_matches_joint_state_reference(backend):
+    # same j, core value and ledger as the joint-state round, draw for draw
+    for n in range(1, 6):
+        for d in range(4):
+            if backend == "materialized" and (d + 2) * n > 20:
+                continue
+            for seed in range(3):
+                runs = []
+                for _ in range(2):
+                    rng = make_rng("reference", backend, n, d, seed)
+                    inst = simon.sample_decision_instance(n, rng)
+                    runs.append((oracle.sample_shuffling(inst, d, rng, backend=backend), rng))
+                (orc_a, rng_a), (orc_b, rng_b) = runs
+                led_a, led_b = DepthLedger(), DepthLedger()
+                for _ in range(3):
+                    j, core = _reference_round(orc_a, rng_a, led_a)
+                    res = solver.run_simon_round(orc_b, rng_b, led_b)
+                    assert (res.j.value, res.core_value) == (j, core)
+                    assert led_b == led_a
 
 
 def test_round_core_value_comes_from_table():
