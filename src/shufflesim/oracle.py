@@ -96,6 +96,10 @@ class IncrementalInjection:
     def known(self, x: int) -> bool:
         return x in self._fwd
 
+    def lookup(self, xs) -> list[int | None]:
+        """The revealed image of each point, None where still unrevealed."""
+        return list(map(self._fwd.get, xs))
+
     def reveal(self, x: int, reject=None) -> int:
         if not 0 <= x < self.size:
             raise OracleError(f"point {x} outside domain of size {self.size}")
@@ -198,20 +202,24 @@ class ShufflingOracle:
         """Bulk answers for superposed application, already flag-encoded.
 
         Does not count classical queries; the caller accounts for the oracle
-        layer. Core evaluations are still tallied per answered point.
+        layer. Core evaluations are still tallied per answered point. A lazy
+        oracle reads the points it has committed (revealed links, core answers
+        given) and samples only fresh points, in the order of `xs` (ascending
+        in a circuit layer); committed answers are final and draw nothing, so
+        the generator stream is that of answering each point in turn.
         """
         self._check_level(level)
-        answers = []
-        core_hits = 0
-        for x in xs:
+        for x in (min(xs), max(xs)) if len(xs) else ():
             self._check_point(x)
-            a = self._answer(level, x)
-            if level == self.d and a is not BOT:
-                core_hits += 1
-            answers.append(self.encode_answer(level, a))
-        if ledger is not None and core_hits:
-            ledger.record_core(core_hits)
+        answers = self._encoded_answers(level, xs)
+        if ledger is not None and level == self.d:
+            core_hits = len(answers) - answers.count(1 << self.n)
+            if core_hits:
+                ledger.record_core(core_hits)
         return answers
+
+    def _encoded_answers(self, level: int, xs) -> list[int]:
+        return [self.encode_answer(level, self._answer(level, x)) for x in xs]
 
     def query_path(self, x0: int, ledger: DepthLedger | None = None) -> Path:
         """Chase the full chain from an embedded root to its instance value."""
@@ -283,6 +291,13 @@ class MaterializedShufflingOracle(ShufflingOracle):
         self._core_table = np.full(size, -1, dtype=np.int64)
         self._core_table[self._level_points[-1]] = instance.table
 
+    def _encoded_answers(self, level: int, xs) -> list[int]:
+        idx = np.asarray(xs, dtype=np.int64)
+        if level < self.d:
+            return self.tables[level][idx].tolist()
+        v = self._core_table[idx]
+        return np.where(v < 0, 1 << self.n, v).tolist()
+
     def _answer(self, level: int, x: int):
         if level < self.d:
             return int(self.tables[level][x])
@@ -306,6 +321,9 @@ class LazyShufflingOracle(ShufflingOracle):
         self._chain_root: dict[tuple[int, int], int] = {}
         # Points committed to lie outside S_j, keyed by level j >= 1.
         self._banned: dict[int, set[int]] = {j: set() for j in range(1, d + 1)}
+        # Core answers given in bulk, encoded; each is final, as its point is
+        # then chained, banned, or walks back to a fixed level-0 point.
+        self._core_given: dict[int, int] = {}
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -313,6 +331,17 @@ class LazyShufflingOracle(ShufflingOracle):
         if level < self.d:
             return self._reveal(level, x)
         return self._resolve_core(x)
+
+    def _encoded_answers(self, level: int, xs) -> list[int]:
+        core = level == self.d
+        answers = list(map(self._core_given.get, xs)) if core else self._levels[level].lookup(xs)
+        if None in answers:
+            for i, x in enumerate(xs):
+                if answers[i] is None:
+                    answers[i] = self.encode_answer(level, self._answer(level, x))
+                    if core:
+                        self._core_given[x] = answers[i]
+        return answers
 
     def _frontier_of(self, root: int) -> tuple[int, int]:
         return self._frontier.get(root, (0, root))

@@ -12,6 +12,7 @@ one Interpreter runs them, counting oracle layers and enforcing layer budgets.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,18 +76,19 @@ class SparseState:
     def __init__(self, layout: RegisterLayout, amps: dict[tuple[int, ...], complex]):
         self.layout = layout
         self.amps = {cfg: complex(a) for cfg, a in amps.items() if abs(a) > PRUNE_TOL}
-        for cfg in self.amps:
-            if len(cfg) != len(layout.names):
-                raise SimulatorError(f"config {cfg} does not match layout {layout.names}")
-            for v, w in zip(cfg, layout.widths):
-                if not 0 <= v < (1 << w):
-                    raise SimulatorError(f"config {cfg} out of range for widths {layout.widths}")
+        if set(map(len, self.amps)) - {len(layout.names)}:
+            cfg = next(c for c in self.amps if len(c) != len(layout.names))
+            raise SimulatorError(f"config {cfg} does not match layout {layout.names}")
+        for i, (col, w) in enumerate(zip(zip(*self.amps), layout.widths)):
+            if min(col) < 0 or max(col) >= 1 << w:
+                cfg = next(c for c in self.amps if not 0 <= c[i] < 1 << w)
+                raise SimulatorError(f"config {cfg} out of range for widths {layout.widths}")
         norm = self.norm()
         if abs(norm - 1.0) > NORM_TOL:
             raise SimulatorError(f"state norm {norm} drifted beyond {NORM_TOL}")
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amps.values())))
+        return math.hypot(*map(abs, self.amps.values()))
 
     @property
     def support_size(self) -> int:
@@ -110,7 +112,13 @@ def basis_state(layout: RegisterLayout, values: dict[str, int] | None = None) ->
 
 
 def init_uniform(layout: RegisterLayout, register: str) -> SparseState:
-    """Uniform superposition on one register, all others zero."""
+    """Uniform superposition on one register, all others zero; states are never
+    mutated, so calls with the same layout and register share one."""
+    return _uniform_state(layout, register)
+
+
+@functools.lru_cache(maxsize=32)
+def _uniform_state(layout: RegisterLayout, register: str) -> SparseState:
     idx = layout.index(register)
     w = layout.width(register)
     amp = 2 ** (-w / 2)
@@ -172,20 +180,16 @@ def apply_oracle_xor(
     """
     resolved = _validate_query_spec(state, oracle, query_spec)
     mask = oracle.domain_size - 1
-    answer_maps = []
-    for level, i_idx, _ in resolved:
-        values = sorted({cfg[i_idx] & mask for cfg in state.amps})
-        answers = oracle.values_at(level, values, ledger=ledger)
-        answer_maps.append(dict(zip(values, answers)))
-    new_amps: dict[tuple[int, ...], complex] = {}
-    for cfg, amp in state.amps.items():
-        out = list(cfg)
-        for (level, i_idx, t_idx), amap in zip(resolved, answer_maps):
-            out[t_idx] ^= amap[cfg[i_idx] & mask]
-        new_amps[tuple(out)] = amp
+    columns = list(zip(*state.amps))
+    out = columns.copy()
+    for level, i_idx, t_idx in resolved:
+        inputs = [v & mask for v in columns[i_idx]]
+        values = sorted(set(inputs))
+        answer = dict(zip(values, oracle.values_at(level, values, ledger=ledger)))
+        out[t_idx] = [t ^ answer[v] for t, v in zip(columns[t_idx], inputs)]
     if ledger is not None:
         ledger.record_oracle_layer()
-    return SparseState(state.layout, new_amps)
+    return SparseState(state.layout, dict(zip(zip(*out), state.amps.values())))
 
 
 def hadamard_register(state: SparseState, register: str) -> SparseState:
@@ -223,9 +227,9 @@ def measure_register(
     pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     pick = min(pick, len(outcomes) - 1)
     outcome = outcomes[pick]
-    keep = {cfg: a for cfg, a in state.amps.items() if cfg[idx] == outcome}
-    scale = 1.0 / np.sqrt(sum(abs(a) ** 2 for a in keep.values()))
-    return outcome, SparseState(state.layout, {c: a * scale for c, a in keep.items()})
+    scale = 1.0 / np.sqrt(marginal[outcome])  # the kept terms, summed in dict order
+    keep = {c: a * scale for c, a in state.amps.items() if c[idx] == outcome}
+    return outcome, SparseState(state.layout, keep)
 
 
 # -- circuit programs --------------------------------------------------------
@@ -292,16 +296,21 @@ class Interpreter:
         for name in sb.layout.names:
             self._group_of[name] = a
 
+    def _group(self, name: str) -> int:
+        if name not in self._group_of:
+            raise SimulatorError(f"no register named {name!r} in {tuple(self._group_of)}")
+        return self._group_of[name]
+
     def uniform(self, name: str) -> None:
-        g = self._group_of[name]
+        g = self._group(name)
         if self._touched.intersection(self.states[g].layout.names):
             raise SimulatorError(f"register {name!r} or one linked to it is in use; cannot reinitialize")
         self._touched.add(name)
         self.states[g] = init_uniform(self.states[g].layout, name)
 
     def hadamard(self, name: str) -> None:
+        g = self._group(name)
         self._touched.add(name)
-        g = self._group_of[name]
         self.states[g] = hadamard_register(self.states[g], name)
 
     def oracle_layer(self, query_spec) -> None:
@@ -310,8 +319,8 @@ class Interpreter:
             ledger.record_violation(self._over_depth.format(self._depth))
             raise DepthViolation(ledger.violations[-1], ledger)
         for _, in_reg, target_reg in query_spec:
+            self._merge(self._group(in_reg), self._group(target_reg))
             self._touched.update((in_reg, target_reg))
-            self._merge(self._group_of[in_reg], self._group_of[target_reg])
         by_group: dict[int, list] = {}
         for entry in query_spec:
             by_group.setdefault(self._group_of[entry[1]], []).append(entry)
@@ -322,13 +331,13 @@ class Interpreter:
         ledger.record_oracle_layer()
 
     def measure(self, name: str) -> int:
+        g = self._group(name)
         self._touched.add(name)
-        g = self._group_of[name]
         self.outcomes[name], self.states[g] = measure_register(self.states[g], name, self._rng)
         return self.outcomes[name]
 
     def register_values(self, name: str) -> set[int]:
-        return self.states[self._group_of[name]].register_values(name)
+        return self.states[self._group(name)].register_values(name)
 
     def run(self, ops) -> dict[str, int]:
         """Run ops in order; returns the last outcome of each measured register."""

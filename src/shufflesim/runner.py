@@ -371,6 +371,8 @@ def _cmd_adversary(args) -> None:
 
 
 def _cmd_o2h(args) -> None:
+    if args.backend == "lazy":
+        raise SystemExit("o2h samples hidden sets, which needs the materialized backend; drop --backend lazy")
     _resolve_common(args, default_trials=2000, n=2, d=2, backend="materialized")
     n, d = args.n[0], args.d[0]
     l = args.l

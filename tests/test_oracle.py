@@ -243,3 +243,77 @@ def test_lazy_one_to_one_paths():
     o = sample_shuffling(inst, 2, rng, backend="lazy")
     finals = {o.query_path(x).final for x in range(8)}
     assert len(finals) == 8
+
+
+# -- bulk answers (values_at) ------------------------------------------------
+
+
+def _pointwise(o, level, xs):
+    return [o.encode_answer(level, o._answer(level, x)) for x in xs]
+
+
+def _chase_layers(o, ledger):
+    # the solver's chase: every level applied to the images of all roots
+    xs = list(range(1 << o.n))
+    for level in range(o.d + 1):
+        answers = o.values_at(level, xs, ledger)
+        xs = sorted(set(answers))
+    return answers
+
+
+def test_lazy_bulk_reads_answered_points_without_drawing():
+    _, o = _oracle(3, 2, 30, backend="lazy")
+    first_ledger, again_ledger = DepthLedger(), DepthLedger()
+    first = _chase_layers(o, first_ledger)
+    state = o._rng.bit_generator.state
+
+    def no_fresh_point(level, x):
+        raise AssertionError(f"answered point {x} at level {level} resolved again")
+
+    o._answer = no_fresh_point
+    assert _chase_layers(o, again_ledger) == first
+    assert o._rng.bit_generator.state == state
+    assert again_ledger.core_evaluations == first_ledger.core_evaluations == 8
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_lazy_bulk_matches_pointwise_twin(d):
+    n = 3
+    _, bulk = _oracle(n, d, 31, backend="lazy")
+    _, twin = _oracle(n, d, 31, backend="lazy")
+    ledger, twin_core = DepthLedger(), 0
+    probes = {3, 40, bulk.domain_size - 1}  # off-chain core points: fresh membership draws
+    # the second chase mixes points the first one answered with fresh ones
+    for roots in ([0, 2, 5], range(1 << n)):
+        xs = list(roots)
+        for level in range(d + 1):
+            if level == d:
+                xs = sorted(set(xs) | probes)
+            got = bulk.values_at(level, xs, ledger)
+            want = _pointwise(twin, level, xs)
+            assert got == want
+            assert bulk._rng.bit_generator.state == twin._rng.bit_generator.state
+            xs = sorted(set(got))
+        twin_core += sum(a != 1 << n for a in want)
+    assert ledger.core_evaluations == twin_core
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_materialized_bulk_matches_pointwise(n, d):
+    _, o = _oracle(n, d, 32)
+    xs = list(range(o.domain_size))
+    for level in range(d + 1):
+        got = o.values_at(level, xs)
+        assert got == _pointwise(o, level, xs)
+        assert all(type(a) is int for a in got)
+    assert 1 << n in got  # the core's encoded bot is among the answers
+
+
+@pytest.mark.parametrize("backend", ["materialized", "lazy"])
+def test_bulk_refuses_out_of_domain_points(backend):
+    _, o = _oracle(2, 1, 33, backend=backend)
+    for bad in (-1, o.domain_size):
+        for level in (0, 1):
+            with pytest.raises(OracleError, match="outside the 6-bit domain"):
+                o.values_at(level, [0, 3, bad])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,12 +57,24 @@ def test_basis_and_uniform():
     assert s3.support_size == 8
     assert all(abs(a - 1 / np.sqrt(8)) < 1e-12 for a in s3.amps.values())
     assert s3.norm() == pytest.approx(1.0)
+    assert qsim.init_uniform(layout3, "q") is s3  # states are immutable and shared
 
 
 def test_norm_validation():
     layout = qsim.RegisterLayout.of(a=1)
     with pytest.raises(qsim.SimulatorError):
         qsim.SparseState(layout, {(0,): 0.5})
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [((1, 4), "out of range"), ((-1, 0), "out of range"), ((1,), "does not match"), ((1, 2, 0), "does not match")],
+)
+def test_config_validation_names_the_bad_config(bad, message):
+    layout = qsim.RegisterLayout.of(a=1, b=2)
+    amps = {(0, 0): 0.6, bad: 0.8j, (1, 3): 1e-13}  # the last is pruned, not checked
+    with pytest.raises(qsim.SimulatorError, match=re.escape(f"config {bad} {message}")):
+        qsim.SparseState(layout, amps)
 
 
 def test_hadamard_basis_and_involution():

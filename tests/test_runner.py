@@ -194,6 +194,18 @@ def test_o2h_report_shape(tmp_path):
     assert report["find_bound"]["precondition_respected"] is True
 
 
+def test_o2h_refuses_the_lazy_backend(monkeypatch):
+    # hidden-set sampling reads whole level sets, which only tables hold
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("o2h sampled an oracle")
+
+    monkeypatch.setattr(runner, "sample_shuffling", no_sampling)
+    with pytest.raises(SystemExit) as exc:
+        runner.main(["o2h", "--n", "2", "--d", "2", "--backend", "lazy"])
+    assert "needs the materialized backend" in str(exc.value)
+    assert "\n" not in str(exc.value)
+
+
 def test_sample_oracle_dump(tmp_path):
     args = ["sample-oracle", "--n", "2", "--d", "1", "--kind", "simon",
             "--paths", "2", "--seed", "6"]

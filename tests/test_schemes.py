@@ -120,6 +120,25 @@ def test_qc_layout_and_init_guards():
         schemes.run_d_qc(reinit, orc, schemes.SchemeBudget(depth=1), rng)
 
 
+def test_unknown_register_is_a_simulator_error():
+    rng = make_rng("qc-unknown-register")
+    orc = oracle.sample_shuffling(simon.sample_simon(2, rng), 0, rng)
+    caps = schemes.PersistentSchemeCaps(orc, schemes.SchemeBudget(depth=1), rng)
+    caps.declare(solver.solver_layout(2, 0))
+    ops = [
+        lambda: caps.uniform("X"),
+        lambda: caps.hadamard("X"),
+        lambda: caps.measure("X"),
+        lambda: caps.oracle_layer(((0, "X", "N0"),)),
+        lambda: caps.oracle_layer(((0, "Q", "X"),)),
+        lambda: caps._machine.register_values("X"),
+    ]
+    for op in ops:
+        with pytest.raises(qsim.SimulatorError, match="no register named 'X'"):
+            op()
+    assert caps.ledger.oracle_layers_total == 0
+
+
 def test_cq_classical_adversary_matches_bare_collision_search():
     # same probe sequence, same answers, same classical accounting
     for seed in range(5):
