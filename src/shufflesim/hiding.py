@@ -93,10 +93,6 @@ class ShadowOracle(ShufflingOracle):
         raise OracleError("path queries are undefined through a shadow; query levels directly")
 
 
-def shadow(oracle: ShufflingOracle, hidden: HiddenSets, l: int) -> ShadowOracle:
-    return ShadowOracle(oracle, hidden, l)
-
-
 def find_probability(
     state: qsim.SparseState,
     oracle: ShufflingOracle,
@@ -162,7 +158,7 @@ def check_hiding_bound(
     max_slack = 0.0
     for oracle, hidden in pairs:
         psi_f = qsim.apply_oracle_xor(state, oracle, query_spec)
-        psi_g = qsim.apply_oracle_xor(state, shadow(oracle, hidden, l), query_spec)
+        psi_g = qsim.apply_oracle_xor(state, ShadowOracle(oracle, hidden, l), query_spec)
         pf = find_probability(state, oracle, query_spec, hidden, l)
         diff = _diff_norm_sq(psi_f, psi_g)
         slack = diff - 2.0 * pf

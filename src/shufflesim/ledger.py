@@ -22,7 +22,8 @@ class DepthLedger:
     """Counters for oracle layers, circuit invocations, and classical queries.
 
     One call that queries many levels in parallel counts as a single oracle
-    layer. core_evaluations counts answers served from the core function on
+    layer; its entries may share inputs but write no register any entry
+    reads. core_evaluations counts answers served from the core function on
     its defined domain, classically or from superposition support.
     """
 

@@ -59,10 +59,6 @@ class Path:
     points: tuple[int, ...]
 
     @property
-    def x0(self) -> int:
-        return self.points[0]
-
-    @property
     def final(self) -> int:
         return self.points[-1]
 

@@ -2,11 +2,14 @@
 
 States live on a named register layout and are stored as dicts mapping
 register-value tuples to amplitudes; the solver's access pattern keeps the
-support polynomial, so no dense 2^W vector is ever built except for the
-explicit conversion helper. Oracle answers are XORed into target registers
-(a basis permutation), Hadamard layers act on one register, and measurement
-collapses one register by the Born rule. A CircuitProgram lists such ops, and
-one Interpreter runs them, counting oracle layers and enforcing layer budgets.
+support polynomial, so no dense 2^W vector is ever built. Oracle answers are
+XORed into target registers (a basis permutation), Hadamard layers act on one
+register, and measurement collapses one register by the Born rule. A
+CircuitProgram lists such ops, and one Interpreter runs them, counting oracle
+layers and enforcing layer budgets.
+
+Ops build states from valid ones without the full config check. The Hadamard
+and measurement kernels add terms in a term-by-term loop's order and match it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -22,7 +26,6 @@ from .oracle import ShufflingOracle
 
 PRUNE_TOL = 1e-12
 NORM_TOL = 1e-9
-DENSE_WIDTH_CAP = 20
 SUPPORT_CAP = 1 << 12
 
 
@@ -60,9 +63,6 @@ class RegisterLayout:
     def width(self, name: str) -> int:
         return self.widths[self.index(name)]
 
-    def offset(self, name: str) -> int:
-        return sum(self.widths[: self.index(name)])
-
     @property
     def total_width(self) -> int:
         return sum(self.widths)
@@ -83,6 +83,19 @@ class SparseState:
             if min(col) < 0 or max(col) >= 1 << w:
                 cfg = next(c for c in self.amps if not 0 <= c[i] < 1 << w)
                 raise SimulatorError(f"config {cfg} out of range for widths {layout.widths}")
+        self._check_norm()
+
+    @classmethod
+    def _trusted(cls, layout: RegisterLayout, amps: dict, check_norm: bool = True) -> "SparseState":
+        """For amps an op built from a valid state (complex, above PRUNE_TOL,
+        in range), so at most the norm is checked."""
+        state = object.__new__(cls)
+        state.layout, state.amps = layout, amps
+        if check_norm:
+            state._check_norm()
+        return state
+
+    def _check_norm(self) -> None:
         norm = self.norm()
         if abs(norm - 1.0) > NORM_TOL:
             raise SimulatorError(f"state norm {norm} drifted beyond {NORM_TOL}")
@@ -93,12 +106,6 @@ class SparseState:
     @property
     def support_size(self) -> int:
         return len(self.amps)
-
-    def amplitude(self, values: dict[str, int]) -> complex:
-        if set(values) != set(self.layout.names):
-            raise SimulatorError(f"amplitude lookup must name every register in {self.layout.names}")
-        cfg = tuple(values[name] for name in self.layout.names)
-        return self.amps.get(cfg, 0j)
 
     def register_values(self, name: str) -> set[int]:
         idx = self.layout.index(name)
@@ -130,9 +137,6 @@ def _uniform_state(layout: RegisterLayout, register: str) -> SparseState:
     return SparseState(layout, amps)
 
 
-QuerySpec = tuple[int, str, str]
-
-
 def _validate_query_spec(state: SparseState, oracle: ShufflingOracle, query_spec) -> list[tuple[int, int, int]]:
     if not query_spec:
         raise SimulatorError("query spec must contain at least one (level, in, target) entry")
@@ -159,6 +163,9 @@ def _validate_query_spec(state: SparseState, oracle: ShufflingOracle, query_spec
             raise SimulatorError(f"register {in_reg!r} cannot be its own query target")
         targets.add(t_idx)
         resolved.append((level, i_idx, t_idx))
+    chained = targets.intersection(i_idx for _, i_idx, _ in resolved)
+    if chained:
+        raise SimulatorError(f"register {layout.names[min(chained)]!r} is both read and written in one layer")
     return resolved
 
 
@@ -172,11 +179,10 @@ def apply_oracle_xor(
     flag-encoded answer for the input register's value into the target.
 
     Counts as a single oracle layer on the ledger no matter how many levels
-    the spec queries. Every entry reads its input register's pre-layer value
-    (only the domain bits; a flag bit above them is ignored), so overlapping
-    read/write registers across entries stay well defined. Unitary (an
-    involution on basis states given fixed inputs), so applying the same
-    layer twice restores the state.
+    the spec queries, so entries act on disjoint registers: they may share an
+    input, but none may write a register another reads or writes. Inputs are
+    read on their domain bits only (a flag bit above them is ignored). The
+    layer is then a bijection on configs and an involution.
     """
     resolved = _validate_query_spec(state, oracle, query_spec)
     mask = oracle.domain_size - 1
@@ -185,28 +191,51 @@ def apply_oracle_xor(
     for level, i_idx, t_idx in resolved:
         inputs = [v & mask for v in columns[i_idx]]
         values = sorted(set(inputs))
-        answer = dict(zip(values, oracle.values_at(level, values, ledger=ledger)))
+        answers = oracle.values_at(level, values, ledger=ledger)
+        if min(answers) < 0 or max(answers) >> state.layout.widths[t_idx]:
+            raise SimulatorError(f"level {level} answered outside register {state.layout.names[t_idx]!r}")
+        answer = dict(zip(values, answers))
         out[t_idx] = [t ^ answer[v] for t, v in zip(columns[t_idx], inputs)]
     if ledger is not None:
         ledger.record_oracle_layer()
-    return SparseState(state.layout, dict(zip(zip(*out), state.amps.values())))
+    amps = dict(zip(zip(*out), state.amps.values()))
+    if len(amps) != len(state.amps):
+        raise SimulatorError("oracle layer mapped two configs to one")
+    return SparseState._trusted(state.layout, amps, check_norm=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _hadamard_row(w: int) -> np.ndarray:
+    """2^(-w/2) signed by the parity of each w-bit x: input v goes to output j
+    with this row's entry at v & j. Shared, so read-only."""
+    row = np.full(1, 2 ** (-w / 2))
+    for _ in range(w):
+        row = np.concatenate((row, -row))
+    row.setflags(write=False)
+    return row
 
 
 def hadamard_register(state: SparseState, register: str) -> SparseState:
-    """Hadamard on every qubit of one register."""
-    idx = state.layout.index(register)
-    w = state.layout.width(register)
-    scale = 2 ** (-w / 2)
-    new_amps: dict[tuple[int, ...], complex] = {}
-    for cfg, amp in state.amps.items():
-        v = cfg[idx]
-        base = list(cfg)
-        for j in range(1 << w):
-            sign = -1.0 if (v & j).bit_count() & 1 else 1.0
-            base[idx] = j
-            key = tuple(base)
-            new_amps[key] = new_amps.get(key, 0j) + sign * scale * amp
-    return SparseState(state.layout, new_amps)
+    """Hadamard on every qubit of one register. Each group of configs that
+    agree off the register sums its 2^w outputs in one array row, members in
+    input order (np.add.at is unbuffered); outputs are listed by first-seen
+    group, then ascending j. Values and order are a term-by-term loop's."""
+    idx, w = state.layout.index(register), state.layout.width(register)
+    groups: dict[tuple, int] = {}
+    member_group = np.array([groups.setdefault(c[:idx] + c[idx + 1:], len(groups)) for c in state.amps])
+    values = np.array([c[idx] for c in state.amps])[:, None]
+    amps = np.array(list(state.amps.values()), dtype=complex)[:, None]
+    row, acc = _hadamard_row(w), np.zeros((len(groups), 1 << w), dtype=complex)
+    step = max(1, (1 << 16) >> w)  # bounds the members-by-outputs block of terms
+    for part in (slice(lo, lo + step) for lo in range(0, len(amps), step)):
+        np.add.at(acc, member_group[part], row[values[part] & np.arange(1 << w)] * amps[part])
+    # np.abs only pre-filters, with a margin for its last-bit gap to abs()
+    g_idx, j_idx = np.nonzero(np.abs(acc) > PRUNE_TOL / 2)
+    rests, new_amps = list(groups), {}
+    for g, j, a in zip(g_idx.tolist(), j_idx.tolist(), acc[g_idx, j_idx].tolist()):
+        if abs(a) > PRUNE_TOL:
+            new_amps[rests[g][:idx] + (j,) + rests[g][idx:]] = a
+    return SparseState._trusted(state.layout, new_amps)
 
 
 def measure_register(
@@ -216,20 +245,20 @@ def measure_register(
 
     Outcomes are enumerated in sorted order, so a fixed generator state fixes
     the outcome; re-measuring the same register is then deterministic.
+    np.bincount sums the marginal in dict order, over bins numbered by first
+    appearance (np.unique would need values that fit 64 bits).
     """
-    idx = state.layout.index(register)
-    marginal: dict[int, float] = {}
-    for cfg, amp in state.amps.items():
-        marginal[cfg[idx]] = marginal.get(cfg[idx], 0.0) + abs(amp) ** 2
-    outcomes = sorted(marginal)
-    probs = np.array([marginal[v] for v in outcomes])
+    idx, bin_of = state.layout.index(register), {}
+    bins = np.array([bin_of.setdefault(c[idx], len(bin_of)) for c in state.amps])
+    marginal = np.bincount(bins, weights=[abs(a) ** 2 for a in state.amps.values()])
+    outcomes = sorted(bin_of)
+    probs = marginal[[bin_of[v] for v in outcomes]]
     probs = probs / probs.sum()
     pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    pick = min(pick, len(outcomes) - 1)
-    outcome = outcomes[pick]
-    scale = 1.0 / np.sqrt(marginal[outcome])  # the kept terms, summed in dict order
-    keep = {c: a * scale for c, a in state.amps.items() if c[idx] == outcome}
-    return outcome, SparseState(state.layout, keep)
+    outcome = outcomes[min(pick, len(outcomes) - 1)]
+    scale = 1.0 / np.sqrt(marginal[bin_of[outcome]])
+    keep = {c: a * scale for c, a in compress(state.amps.items(), (bins == bin_of[outcome]).tolist())}
+    return outcome, SparseState._trusted(state.layout, keep)
 
 
 # -- circuit programs --------------------------------------------------------
@@ -291,7 +320,9 @@ class Interpreter:
         sa, sb = self.states[a], self.states[b]
         layout = RegisterLayout(sa.layout.names + sb.layout.names, sa.layout.widths + sb.layout.widths)
         amps = {ca + cb: aa * ab for ca, aa in sa.amps.items() for cb, ab in sb.amps.items()}
-        self.states[a] = SparseState(layout, amps)
+        # a product of two kept amplitudes can still fall below PRUNE_TOL
+        amps = {cfg: amp for cfg, amp in amps.items() if abs(amp) > PRUNE_TOL}
+        self.states[a] = SparseState._trusted(layout, amps)
         self.states[b] = None
         for name in sb.layout.names:
             self._group_of[name] = a
@@ -360,21 +391,6 @@ def run_program(
     machine = Interpreter(program, oracle, rng, ledger, depth)
     machine.run(program.ops)
     return machine
-
-
-def dense_statevector(state: SparseState, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
-    """Pack the sparse state into a full 2^W vector (W capped)."""
-    w = state.layout.total_width
-    if w > width_cap:
-        raise SimulatorError(f"total width {w} exceeds the dense cap of {width_cap} bits")
-    vec = np.zeros(1 << w, dtype=np.complex128)
-    offsets = [state.layout.offset(name) for name in state.layout.names]
-    for cfg, amp in state.amps.items():
-        idx = 0
-        for v, off in zip(cfg, offsets):
-            idx |= v << off
-        vec[idx] = amp
-    return vec
 
 
 @dataclass(frozen=True)
@@ -494,13 +510,3 @@ def bures_distance(a, b, support_cap: int = SUPPORT_CAP) -> float:
     """B(rho, sigma) = sqrt(2 - 2 F); upper-bounds trace distance."""
     f = fidelity(a, b, support_cap=support_cap)
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * f)))
-
-
-def trace_distance(a, b, support_cap: int = SUPPORT_CAP) -> float:
-    """Half the trace norm of rho - sigma."""
-    a, b = _as_ensemble(a), _as_ensemble(b)
-    ca, cb = _coords_and_weights(a, b, support_cap)
-    rho = _density(ca, [p for p, _ in a.components])
-    sigma = _density(cb, [p for p, _ in b.components])
-    w = np.linalg.eigvalsh(rho - sigma)
-    return float(np.abs(w).sum() / 2.0)

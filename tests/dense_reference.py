@@ -1,13 +1,57 @@
-"""Independent dense statevector simulator used only for cross-checks.
+"""Independent dense statevector simulator used only for cross-checks, and
+the helpers that only tests need.
 
-Deliberately implemented with a different representation from the package's
-sparse simulator: a flat numpy vector over all 2^total_width basis indices,
-bitfield arithmetic for register extraction, butterfly Hadamards, and
-index-permutation oracle layers. Nothing here imports from shufflesim.qsim
-except the layout geometry.
+DenseSim is deliberately implemented with a different representation from the
+package's sparse simulator: a flat numpy vector over all 2^total_width basis
+indices, bitfield arithmetic for register extraction, butterfly Hadamards,
+and index-permutation oracle layers. It uses nothing from shufflesim.qsim
+except the layout geometry. The helpers below it read sparse states
+(`amplitude`, `dense_statevector`) or reuse qsim's joint-span coordinates
+(`trace_distance`).
 """
 
 import numpy as np
+
+from shufflesim import qsim
+
+DENSE_WIDTH_CAP = 20
+
+
+def offset(layout, name: str) -> int:
+    """Bit offset of a register in the packed dense index (register 0 lowest)."""
+    return sum(layout.widths[: layout.index(name)])
+
+
+def amplitude(state, values: dict) -> complex:
+    """The amplitude of the config that gives every register its value."""
+    if set(values) != set(state.layout.names):
+        raise qsim.SimulatorError(f"amplitude lookup must name every register in {state.layout.names}")
+    return state.amps.get(tuple(values[name] for name in state.layout.names), 0j)
+
+
+def dense_statevector(state, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
+    """Pack the sparse state into a full 2^W vector (W capped)."""
+    w = state.layout.total_width
+    if w > width_cap:
+        raise qsim.SimulatorError(f"total width {w} exceeds the dense cap of {width_cap} bits")
+    vec = np.zeros(1 << w, dtype=np.complex128)
+    offsets = [offset(state.layout, name) for name in state.layout.names]
+    for cfg, amp in state.amps.items():
+        idx = 0
+        for v, off in zip(cfg, offsets):
+            idx |= v << off
+        vec[idx] = amp
+    return vec
+
+
+def trace_distance(a, b, support_cap: int = qsim.SUPPORT_CAP) -> float:
+    """Half the trace norm of rho - sigma."""
+    a, b = qsim._as_ensemble(a), qsim._as_ensemble(b)
+    ca, cb = qsim._coords_and_weights(a, b, support_cap)
+    rho = qsim._density(ca, [p for p, _ in a.components])
+    sigma = qsim._density(cb, [p for p, _ in b.components])
+    w = np.linalg.eigvalsh(rho - sigma)
+    return float(np.abs(w).sum() / 2.0)
 
 
 class DenseSim:
@@ -18,7 +62,7 @@ class DenseSim:
         self._idx = np.arange(self.vec.size)
 
     def _field(self, name):
-        return self.layout.offset(name), self.layout.width(name)
+        return offset(self.layout, name), self.layout.width(name)
 
     def reg_values(self, name):
         off, w = self._field(name)

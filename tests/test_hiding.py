@@ -60,13 +60,13 @@ def test_shadow_blanks_exactly_the_hidden_points():
     rng = make_rng("shadow")
     orc = _simon_oracle(2, 2, rng)
     hidden = hiding.sample_hidden_sets(orc, rng)
-    sh = hiding.shadow(orc, hidden, 2)
+    sh = hiding.ShadowOracle(orc, hidden, 2)
     for x in range(0, orc.domain_size, 7):
         assert sh.query_point(0, x) == orc.query_point(0, x)
         assert sh.query_point(1, x) == orc.query_point(1, x)
         want = BOT if hidden.contains(2, 2, x) else orc.query_point(2, x)
         assert sh.query_point(2, x) == want
-    low = hiding.shadow(orc, hidden, 1)
+    low = hiding.ShadowOracle(orc, hidden, 1)
     for x in range(0, orc.domain_size, 7):
         blanked = BOT if hidden.contains(1, 1, x) else orc.query_point(1, x)
         assert low.query_point(1, x) == blanked
@@ -79,9 +79,9 @@ def test_shadow_round_out_of_range():
     orc = _simon_oracle(2, 1, rng)
     hidden = hiding.sample_hidden_sets(orc, rng)
     with pytest.raises(ValueError):
-        hiding.shadow(orc, hidden, 0)
+        hiding.ShadowOracle(orc, hidden, 0)
     with pytest.raises(ValueError):
-        hiding.shadow(orc, hidden, 2)
+        hiding.ShadowOracle(orc, hidden, 2)
 
 
 def test_find_probability_extremes():

@@ -56,7 +56,7 @@ def test_path_query_d0():
     inst, o = _oracle(3, 0, 5)
     p = o.query_path(6)
     assert p.points == (6, inst.value(6))
-    assert p.x0 == 6 and p.final == inst.value(6)
+    assert p.points[0] == 6 and p.final == inst.value(6)
 
 
 def test_path_matches_pointwise_queries():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from dense_reference import DenseSim
+from dense_reference import DenseSim, amplitude, dense_statevector, offset, trace_distance
 from shufflesim import qsim
 from shufflesim.oracle import sample_shuffling
 from shufflesim.simon import sample_one_to_one, sample_simon
@@ -42,7 +42,7 @@ def state_from_dense(layout, vec):
 def test_layout_packing():
     layout = small_layout()
     assert layout.total_width == 5
-    assert layout.offset("a") == 0 and layout.offset("b") == 2
+    assert offset(layout, "a") == 0 and offset(layout, "b") == 2
     with pytest.raises(qsim.SimulatorError):
         layout.index("c")
 
@@ -50,8 +50,8 @@ def test_layout_packing():
 def test_basis_and_uniform():
     layout = qsim.RegisterLayout.of(q=1)
     s = qsim.init_uniform(layout, "q")
-    assert s.amplitude({"q": 0}) == pytest.approx(1 / np.sqrt(2))
-    assert s.amplitude({"q": 1}) == pytest.approx(1 / np.sqrt(2))
+    assert amplitude(s, {"q": 0}) == pytest.approx(1 / np.sqrt(2))
+    assert amplitude(s, {"q": 1}) == pytest.approx(1 / np.sqrt(2))
     layout3 = qsim.RegisterLayout.of(q=3)
     s3 = qsim.init_uniform(layout3, "q")
     assert s3.support_size == 8
@@ -84,7 +84,7 @@ def test_hadamard_basis_and_involution():
     assert h.support_size == 4
     back = qsim.hadamard_register(h, "q")
     assert back.support_size == 1
-    assert back.amplitude({"q": 0}) == pytest.approx(1.0)
+    assert amplitude(back, {"q": 0}) == pytest.approx(1.0)
 
 
 def test_hadamard_involution_random_states():
@@ -113,8 +113,9 @@ def test_oracle_xor_involution_and_parallel_support():
     uniform = qsim.init_uniform(layout, "Q")
     keys = set(again.amps) | set(uniform.amps)
     assert all(abs(again.amps.get(k, 0) - uniform.amps.get(k, 0)) < 1e-12 for k in keys)
-    # one call querying two levels at once is one layer and keeps support size
-    state2 = qsim.apply_oracle_xor(state, oracle, [(0, "Q", "N0"), (1, "N0", "N1")])
+    # one call querying two levels at once (a shared read of Q) is one layer
+    # and keeps support size
+    state2 = qsim.apply_oracle_xor(state, oracle, [(0, "Q", "N0"), (1, "Q", "N1")])
     assert state2.support_size == 4
     assert state2.norm() == pytest.approx(1.0)
 
@@ -131,6 +132,35 @@ def test_query_spec_validation():
         qsim.apply_oracle_xor(state, oracle, [(0, "Q", "N0"), (1, "Q", "N0")])
     with pytest.raises(qsim.SimulatorError):
         qsim.apply_oracle_xor(state, oracle, [(1, "Q", "N0")])  # wrong target width
+    # one entry writing what another reads would chain two queries in one layer
+    for spec in ([(0, "Q", "N0"), (1, "N0", "N1")], [(1, "N0", "N1"), (0, "Q", "N0")]):
+        with pytest.raises(qsim.SimulatorError, match="both read and written"):
+            qsim.apply_oracle_xor(state, oracle, spec)
+    assert qsim.apply_oracle_xor(state, oracle, [(0, "Q", "N0"), (1, "Q", "N1")]).support_size == 1
+
+
+class _StubOracle:
+    """Answers every point with one fixed value, in range or not."""
+
+    domain_bits, domain_size = 2, 4
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def answer_bits(self, level):
+        return 3
+
+    def values_at(self, level, xs, ledger=None):
+        return [self.answer] * len(xs)
+
+
+@pytest.mark.parametrize("answer", [8, -1])
+def test_oracle_answer_outside_target_width_is_refused(answer):
+    layout = qsim.RegisterLayout.of(X=2, A=3)
+    state = qsim.init_uniform(layout, "X")
+    assert qsim.apply_oracle_xor(state, _StubOracle(7), [(0, "X", "A")]).register_values("A") == {7}
+    with pytest.raises(qsim.SimulatorError, match="answered outside register 'A'"):
+        qsim.apply_oracle_xor(state, _StubOracle(answer), [(0, "X", "A")])
 
 
 def test_measurement_collapse_one_to_one():
@@ -160,11 +190,11 @@ def test_measurement_statistics():
 
 def test_dense_roundtrip():
     layout = qsim.RegisterLayout.of(a=1)
-    vec = qsim.dense_statevector(qsim.SparseState(layout, {(1,): 1.0 + 0j}))
+    vec = dense_statevector(qsim.SparseState(layout, {(1,): 1.0 + 0j}))
     assert np.allclose(vec, [0, 1])
     for seed in range(10):
         s = random_state(small_layout(), 100 + seed)
-        back = state_from_dense(s.layout, qsim.dense_statevector(s))
+        back = state_from_dense(s.layout, dense_statevector(s))
         keys = set(s.amps) | set(back.amps)
         assert all(abs(s.amps.get(k, 0) - back.amps.get(k, 0)) < 1e-12 for k in keys)
 
@@ -177,13 +207,93 @@ def test_sparse_matches_dense_on_layers():
     sparse = qsim.init_uniform(layout, "Q")
     dense = DenseSim(layout)
     dense.init_uniform("Q")
-    for spec in ([(0, "Q", "N0")], [(1, "N0", "N1")], [(0, "Q", "N0"), (1, "N0", "N1")]):
+    for spec in ([(0, "Q", "N0")], [(1, "N0", "N1")], [(0, "Q", "N0"), (1, "Q", "N1")]):
         sparse = qsim.apply_oracle_xor(sparse, oracle, spec)
         dense.oracle_layer(oracle, spec)
-        assert np.max(np.abs(qsim.dense_statevector(sparse) - dense.vec)) < 1e-9
+        assert np.max(np.abs(dense_statevector(sparse) - dense.vec)) < 1e-9
     sparse = qsim.hadamard_register(sparse, "Q")
     dense.hadamard("Q")
-    assert np.max(np.abs(qsim.dense_statevector(sparse) - dense.vec)) < 1e-9
+    assert np.max(np.abs(dense_statevector(sparse) - dense.vec)) < 1e-9
+
+
+# -- array kernels against term-by-term references ---------------------------
+
+
+def _loop_hadamard(state, register):
+    """Hadamard as a term-by-term dict loop, the kernel's reference."""
+    idx = state.layout.index(register)
+    w = state.layout.width(register)
+    scale = 2 ** (-w / 2)
+    new_amps = {}
+    for cfg, amp in state.amps.items():
+        base = list(cfg)
+        for j in range(1 << w):
+            sign = -1.0 if (cfg[idx] & j).bit_count() & 1 else 1.0
+            base[idx] = j
+            key = tuple(base)
+            new_amps[key] = new_amps.get(key, 0j) + sign * scale * amp
+    return qsim.SparseState(state.layout, new_amps)
+
+
+def _loop_measure(state, register, rng):
+    """Measurement with a dict-summed marginal, the kernel's reference."""
+    idx = state.layout.index(register)
+    marginal = {}
+    for cfg, amp in state.amps.items():
+        marginal[cfg[idx]] = marginal.get(cfg[idx], 0.0) + abs(amp) ** 2
+    outcomes = sorted(marginal)
+    probs = np.array([marginal[v] for v in outcomes])
+    probs = probs / probs.sum()
+    pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    outcome = outcomes[min(pick, len(outcomes) - 1)]
+    scale = 1.0 / np.sqrt(marginal[outcome])
+    keep = {c: a * scale for c, a in state.amps.items() if c[idx] == outcome}
+    return outcome, qsim.SparseState(state.layout, keep)
+
+
+def _grouped_state(w, seed):
+    """Several groups of the registers around `h`, some holding pairs of
+    equal-weight members whose Hadamard outputs cancel exactly on half of j."""
+    layout = qsim.RegisterLayout.of(a=2, h=w, b=1)
+    rng = make_rng("kernel", w, seed)
+    amps = {}
+    for a, b in [(3, 0), (0, 1), (1, 0), (0, 0)]:
+        pair = (a + b) % 2 == 1
+        members = rng.choice(1 << w, size=2 if pair else min(3, 1 << w), replace=False)
+        shared = complex(rng.normal(), rng.normal())
+        for v in members.tolist():
+            amps[(a, v, b)] = shared if pair else complex(rng.normal(), rng.normal())
+    norm = np.sqrt(sum(abs(x) ** 2 for x in amps.values()))
+    return qsim.SparseState(layout, {c: x / norm for c, x in amps.items()})
+
+
+@pytest.mark.parametrize("w", [1, 3, 6])
+def test_hadamard_kernel_matches_loop_and_dense(w):
+    for seed in range(5):
+        state = _grouped_state(w, seed)
+        got = qsim.hadamard_register(state, "h")
+        # same configs in the same order, same amplitudes to the last bit
+        assert list(got.amps.items()) == list(_loop_hadamard(state, "h").amps.items())
+        dense = DenseSim(state.layout)
+        dense.vec = dense_statevector(state)
+        dense.hadamard("h")
+        assert np.max(np.abs(dense_statevector(got) - dense.vec)) < 1e-12
+        assert got.support_size == np.count_nonzero(np.abs(dense.vec) > qsim.PRUNE_TOL)
+        # each of the three pair groups keeps only half of its 2^w outputs
+        assert got.support_size == (1 << w) + 3 * (1 << w) // 2
+
+
+def test_measure_kernel_matches_dict_reference():
+    for w in (1, 3, 6):
+        for seed in range(5):
+            state = _grouped_state(w, seed)
+            for s in (state, qsim.hadamard_register(state, "h")):
+                for reg in ("a", "h"):
+                    for draw in range(4):
+                        got = qsim.measure_register(s, reg, make_rng("measure", w, seed, draw))
+                        want = _loop_measure(s, reg, make_rng("measure", w, seed, draw))
+                        assert got[0] == want[0]
+                        assert list(got[1].amps.items()) == list(want[1].amps.items())
 
 
 # -- distances ---------------------------------------------------------------
@@ -202,9 +312,9 @@ def test_fidelity_extremes():
     one = qsim.SparseState(layout, {(1,): 1.0 + 0j})
     assert qsim.fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
     assert qsim.bures_distance(zero, one) == pytest.approx(np.sqrt(2))
-    assert qsim.trace_distance(zero, one) == pytest.approx(1.0)
+    assert trace_distance(zero, one) == pytest.approx(1.0)
     assert qsim.bures_distance(a, a) == pytest.approx(0.0, abs=1e-7)
-    assert qsim.trace_distance(a, a) == pytest.approx(0.0, abs=1e-7)
+    assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_pure_state_fidelity_is_overlap():
@@ -222,7 +332,7 @@ def test_distance_chain_inequality():
         ens_a = qsim.MixedEnsemble.uniform([a, random_state(a.layout, 900 + seed)])
         ens_b = qsim.MixedEnsemble.uniform([b, random_state(b.layout, 950 + seed)])
         f = qsim.fidelity(ens_a, ens_b)
-        td = qsim.trace_distance(ens_a, ens_b)
+        td = trace_distance(ens_a, ens_b)
         bu = qsim.bures_distance(ens_a, ens_b)
         assert bu == pytest.approx(np.sqrt(2 - 2 * f), abs=1e-9)
         assert td <= np.sqrt(1 - f * f) + 1e-9
@@ -240,11 +350,11 @@ def test_gram_route_matches_dense_density():
         ens_b = qsim.MixedEnsemble.uniform(states_b)
         rho = np.zeros((8, 8), dtype=complex)
         for s in states_a:
-            v = qsim.dense_statevector(s)
+            v = dense_statevector(s)
             rho += np.outer(v, v.conj()) / len(states_a)
         sig = np.zeros((8, 8), dtype=complex)
         for s in states_b:
-            v = qsim.dense_statevector(s)
+            v = dense_statevector(s)
             sig += np.outer(v, v.conj()) / len(states_b)
         def droot(m):
             w, vecs = np.linalg.eigh(m)
