@@ -41,6 +41,13 @@ def _parallel_uncompute_program(n, d):
     return qsim.CircuitProgram(solver.solver_layout(n, d), tuple(ops))
 
 
+def _run_parallel_uncompute(orc, rng, ledger):
+    machine = qsim.run_program(_parallel_uncompute_program(orc.n, orc.d), orc, rng, ledger)
+    for i in range(orc.d):
+        assert machine.register_values(f"N{i}") == {0}
+    return gf2.BitVector(machine.outcomes["Q"], orc.n)
+
+
 def test_round_layer_count_sequential():
     # one chase layer per level plus d uncompute layers: 2d+1 total
     for d in (0, 1, 2):
@@ -51,10 +58,17 @@ def test_round_layer_count_sequential():
         assert res.oracle_layers == 2 * d + 1
 
 
-def test_folded_uncompute_layer_is_refused():
-    # one layer that uncomputes N{d-1}..N0 at once would read N0..N{d-2}
-    # while writing them, doing d layers' work for one charge; it is refused
-    # before it is charged (at d=1 the fold is one entry, the real round)
+def test_round_layer_count_parallel_uncompute():
+    # at d=1 the folded uncompute is one entry, the real round: d+2 = 2d+1
+    rng = make_rng("parlayers", 1)
+    inst = simon.sample_simon(2, rng)
+    orc = oracle.sample_shuffling(inst, 1, rng)
+    led = DepthLedger()
+    _run_parallel_uncompute(orc, rng, led)
+    assert led.oracle_layers_current_circuit == 3
+    # above d=1 one layer that uncomputes N{d-1}..N0 at once would read
+    # N0..N{d-2} while writing them, doing d layers' work for one charge;
+    # it is refused before it is charged
     for d in (2, 3):
         rng = make_rng("parlayers", d)
         inst = simon.sample_simon(2, rng)
@@ -73,6 +87,16 @@ def test_round_j_orthogonal_to_shift():
     for _ in range(50):
         res = solver.run_simon_round(orc, rng)
         assert gf2.dot(res.j, s) == 0
+
+
+def test_round_j_orthogonal_with_parallel_uncompute():
+    # d=1, the one depth at which the folded uncompute layer is legal
+    rng = make_rng("ortho-par")
+    inst = simon.sample_simon(2, rng)
+    orc = oracle.sample_shuffling(inst, 1, rng)
+    s = gf2.BitVector(inst.s, 2)
+    for _ in range(40):
+        assert gf2.dot(_run_parallel_uncompute(orc, rng, DepthLedger()), s) == 0
 
 
 @pytest.mark.parametrize("backend", ["lazy", "materialized"])
