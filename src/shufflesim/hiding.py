@@ -13,6 +13,7 @@ probability at most (number of query slots) / 2^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -22,19 +23,26 @@ from .oracle import BOT, MaterializedShufflingOracle, OracleError, Path, Shuffli
 
 @dataclass(frozen=True)
 class HiddenSets:
-    """S_j^(l) for 1 <= l <= d, l <= j <= d; round 0 is the full domain."""
+    """S_j^(l) for 1 <= l <= d, l <= j <= d, each a sorted read-only int64
+    array; round 0 is the full domain."""
 
     n: int
     d: int
-    sets: dict[tuple[int, int], frozenset[int]]
+    sets: dict[tuple[int, int], np.ndarray]
 
-    def set_at(self, j: int, l: int) -> frozenset[int]:
+    def set_at(self, j: int, l: int) -> np.ndarray:
         if not 1 <= l <= self.d or not l <= j <= self.d:
             raise ValueError(f"no hidden set for level j={j}, round l={l} at depth {self.d}")
         return self.sets[(j, l)]
 
     def contains(self, j: int, l: int, x: int) -> bool:
-        return x in self.set_at(j, l)
+        return bool(self.members(j, l, np.array([x], dtype=np.int64))[0])
+
+    def members(self, j: int, l: int, xs: np.ndarray) -> np.ndarray:
+        """Boolean mask: which of the int64 points xs lie in S_j^(l)."""
+        pts = self.set_at(j, l)
+        pos = np.minimum(np.searchsorted(pts, xs), len(pts) - 1)
+        return pts[pos] == xs
 
 
 def sample_hidden_sets(oracle: ShufflingOracle, rng: np.random.Generator) -> HiddenSets:
@@ -48,24 +56,23 @@ def sample_hidden_sets(oracle: ShufflingOracle, rng: np.random.Generator) -> Hid
     if not isinstance(oracle, MaterializedShufflingOracle):
         raise OracleError("hidden-set sampling requires the materialized backend")
     n, d = oracle.n, oracle.d
-    level_sets = oracle.level_sets()
-    sets: dict[tuple[int, int], frozenset[int]] = {}
-    parent: np.ndarray | None = None  # S_l^(l-1) as a sorted array; None = full domain
+    sets: dict[tuple[int, int], np.ndarray] = {}
+    parent = np.arange(oracle.domain_size, dtype=np.int64)  # S_l^(l-1), sorted
     for l in range(1, d + 1):
-        if parent is None:
-            parent = np.arange(oracle.domain_size, dtype=np.int64)
-        true_set = np.fromiter(sorted(level_sets.at(l)), dtype=np.int64)
+        true_set = oracle.level_points(l)
         target = oracle.domain_size >> (n * l)
-        pool = np.setdiff1d(parent, true_set, assume_unique=True)
+        # S_l lies inside its sorted parent, so this is setdiff1d(parent, true_set)
+        pool = np.delete(parent, np.searchsorted(parent, true_set))
         extra = rng.choice(pool, size=target - len(true_set), replace=False)
-        chosen = np.sort(np.concatenate([true_set, extra]))
-        sets[(l, l)] = frozenset(int(p) for p in chosen)
-        pts = chosen
+        pts = np.sort(np.concatenate([true_set, extra]))
+        sets[(l, l)] = pts
         for j in range(l + 1, d + 1):
-            pts = oracle.tables[j - 1][pts]
-            sets[(j, l)] = frozenset(int(p) for p in pts)
+            pts = np.sort(oracle.tables[j - 1][pts])
+            sets[(j, l)] = pts
             if j == l + 1:
-                parent = np.sort(pts)
+                parent = pts
+    for pts in sets.values():
+        pts.setflags(write=False)
     return HiddenSets(n=n, d=d, sets=sets)
 
 
@@ -74,6 +81,7 @@ class ShadowOracle(ShufflingOracle):
 
     Levels below l are untouched; at level j >= l every point of S_j^(l) is
     blanked, which covers the true level set and therefore the whole core.
+    A layer takes the base backend's bulk answers and blanks its hidden points.
     """
 
     def __init__(self, base: ShufflingOracle, hidden: HiddenSets, l: int) -> None:
@@ -88,6 +96,14 @@ class ShadowOracle(ShufflingOracle):
         if level >= self.l and self.hidden.contains(level, self.l, x):
             return BOT
         return self.base._answer(level, x)
+
+    def _encoded_answers(self, level: int, xs) -> list[int]:
+        idx = np.asarray(xs, dtype=np.int64)
+        answers = self.base._encoded_answers(level, idx)
+        if level < self.l:
+            return answers
+        hidden = self.hidden.members(level, self.l, idx)
+        return np.where(hidden, 1 << self.value_bits(level), answers).tolist()
 
     def query_path(self, x0: int, ledger=None) -> Path:
         raise OracleError("path queries are undefined through a shadow; query levels directly")
@@ -105,21 +121,28 @@ def find_probability(
     hold hidden points."""
     layout = state.layout
     mask = oracle.domain_size - 1
-    slots = [
-        (level, layout.index(in_reg))
-        for level, in_reg, _ in query_spec
-        if level >= l
-    ]
+    columns = list(zip(*state.amps))
+    hit = np.zeros(len(state.amps), dtype=bool)
+    inputs: dict[int, np.ndarray] = {}
+    for level, in_reg, _ in query_spec:
+        if level >= l:
+            idx = layout.index(in_reg)
+            if idx not in inputs:
+                inputs[idx] = np.array([v & mask for v in columns[idx]], dtype=np.int64)
+            hit |= hidden.members(level, l, inputs[idx])
+    # abs() and a left-to-right loop in dict order, for the bits of a per-config loop
     total = 0.0
-    for cfg, amp in state.amps.items():
-        if any(hidden.contains(level, l, cfg[idx] & mask) for level, idx in slots):
-            total += abs(amp) ** 2
+    for amp in compress(state.amps.values(), hit.tolist()):
+        total += abs(amp) ** 2
     return total
 
 
 def _diff_norm_sq(a: qsim.SparseState, b: qsim.SparseState) -> float:
-    keys = set(a.amps) | set(b.amps)
-    return float(sum(abs(a.amps.get(k, 0j) - b.amps.get(k, 0j)) ** 2 for k in keys))
+    # a plain loop: builtin sum() rounds differently from Python 3.12 on
+    total = 0.0
+    for k in set(a.amps) | set(b.amps):
+        total += abs(a.amps.get(k, 0j) - b.amps.get(k, 0j)) ** 2
+    return total
 
 
 @dataclass(frozen=True)
@@ -264,7 +287,7 @@ def estimate_membership(
         oracle = oracle_sampler(rng)
         n = oracle.n
         hidden = sample_hidden_sets(oracle, rng)
-        probe = min(oracle.level_sets().at(j)) if on_level_set else x
+        probe = int(oracle.level_points(j)[0]) if on_level_set else x
         if l > 1 and not hidden.contains(j, l - 1, probe):
             continue
         parent_draws += 1

@@ -303,6 +303,10 @@ class MaterializedShufflingOracle(ShufflingOracle):
     def level_sets(self) -> LevelSets:
         return LevelSets(tuple(frozenset(int(p) for p in pts) for pts in self._level_points))
 
+    def level_points(self, j: int) -> np.ndarray:
+        """S_j as a sorted int64 array (a fresh copy)."""
+        return np.sort(self._level_points[j])
+
 
 class LazyShufflingOracle(ShufflingOracle):
     """Backend that reveals the injections on demand."""

@@ -137,10 +137,9 @@ def _uniform_state(layout: RegisterLayout, register: str) -> SparseState:
     return SparseState(layout, amps)
 
 
-def _validate_query_spec(state: SparseState, oracle: ShufflingOracle, query_spec) -> list[tuple[int, int, int]]:
+def _validate_query_spec(layout: RegisterLayout, oracle: ShufflingOracle, query_spec) -> list[tuple[int, int, int]]:
     if not query_spec:
         raise SimulatorError("query spec must contain at least one (level, in, target) entry")
-    layout = state.layout
     resolved = []
     targets = set()
     for level, in_reg, target_reg in query_spec:
@@ -174,6 +173,8 @@ def apply_oracle_xor(
     oracle: ShufflingOracle,
     query_spec,
     ledger: DepthLedger | None = None,
+    *,
+    checked: bool = False,
 ) -> SparseState:
     """One parallel oracle layer: for every (level, in, target) entry, XOR the
     flag-encoded answer for the input register's value into the target.
@@ -182,9 +183,15 @@ def apply_oracle_xor(
     the spec queries, so entries act on disjoint registers: they may share an
     input, but none may write a register another reads or writes. Inputs are
     read on their domain bits only (a flag bit above them is ignored). The
-    layer is then a bijection on configs and an involution.
+    layer is then a bijection on configs and an involution. checked=True
+    skips the spec validation, for a caller that ran it on a layout holding
+    the state's registers.
     """
-    resolved = _validate_query_spec(state, oracle, query_spec)
+    layout = state.layout
+    if checked:
+        resolved = [(level, layout.index(i), layout.index(t)) for level, i, t in query_spec]
+    else:
+        resolved = _validate_query_spec(layout, oracle, query_spec)
     mask = oracle.domain_size - 1
     columns = list(zip(*state.amps))
     out = columns.copy()
@@ -306,7 +313,7 @@ class Interpreter:
         ledger: DepthLedger, depth: int | None = None,
         over_depth: str = "depth budget of {} layers per circuit exceeded",
     ) -> None:
-        self._oracle, self._rng, self.ledger = oracle, rng, ledger
+        self._layout, self._oracle, self._rng, self.ledger = program.layout, oracle, rng, ledger
         self._depth, self._over_depth = depth, over_depth
         group_of, states = _linked_groups(program)
         self._group_of, self.states = dict(group_of), list(states)
@@ -349,6 +356,9 @@ class Interpreter:
         if self._depth is not None and ledger.oracle_layers_current_circuit >= self._depth:
             ledger.record_violation(self._over_depth.format(self._depth))
             raise DepthViolation(ledger.violations[-1], ledger)
+        # the whole layer is validated before any group is merged or written,
+        # so a refused layer leaves no answer behind
+        _validate_query_spec(self._layout, self._oracle, query_spec)
         for _, in_reg, target_reg in query_spec:
             self._merge(self._group(in_reg), self._group(target_reg))
             self._touched.update((in_reg, target_reg))
@@ -357,7 +367,7 @@ class Interpreter:
             by_group.setdefault(self._group_of[entry[1]], []).append(entry)
         scratch = DepthLedger()
         for g, entries in by_group.items():
-            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, scratch)
+            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, scratch, checked=True)
         ledger.record_core(scratch.core_evaluations)
         ledger.record_oracle_layer()
 
@@ -435,24 +445,32 @@ def _sparse_dot(a: dict, b: dict) -> complex:
     return sum(np.conj(amp) * b[cfg] for cfg, amp in a.items() if cfg in b)
 
 
-def _coords_and_weights(a: MixedEnsemble, b: MixedEnsemble, support_cap: int):
-    """Exact coordinates of both ensembles' components in an orthonormal
-    basis of their joint span.
-
-    The span dimension is at most the component count, so pooled ensembles
-    with wide supports stay tractable; the cap guards the quadratic cost.
-    """
+def _joint_components(a: MixedEnsemble, b: MixedEnsemble, support_cap: int):
+    """The components' amplitude dicts, a's first, and one row of amplitudes
+    per component over their sorted joint support (None past 2^24 entries).
+    The cap guards the quadratic cost of the span solve."""
     vecs = [s.amps for _, s in a.components] + [s.amps for _, s in b.components]
     if len(vecs) > support_cap:
         raise SimulatorError(f"{len(vecs)} components exceed the cap of {support_cap}")
+    union = sorted(set().union(*vecs))
+    if len(vecs) * len(union) > 1 << 24:
+        return vecs, None
+    index = dict(zip(union, range(len(union))))
+    dense = np.zeros((len(vecs), len(union)), dtype=np.complex128)
+    for row, amps in zip(dense, vecs):
+        row[list(map(index.__getitem__, amps))] = list(amps.values())
+    return vecs, dense
+
+
+def _span_coords(vecs: list[dict], dense: np.ndarray | None, ka: int):
+    """Exact coordinates of the components (the first ka one ensemble's, the
+    rest the other's) in an orthonormal basis of their joint span.
+
+    The span dimension is at most the component count, so pooled ensembles
+    with wide supports stay tractable.
+    """
     k = len(vecs)
-    union = {cfg for amps in vecs for cfg in amps}
-    if k * len(union) <= 1 << 24:
-        index = {cfg: i for i, cfg in enumerate(sorted(union))}
-        dense = np.zeros((k, len(index)), dtype=np.complex128)
-        for i, amps in enumerate(vecs):
-            for cfg, amp in amps.items():
-                dense[i, index[cfg]] = amp
+    if dense is not None:
         gram = dense @ dense.conj().T
         gram = (gram + gram.conj().T) / 2
     else:
@@ -465,8 +483,12 @@ def _coords_and_weights(a: MixedEnsemble, b: MixedEnsemble, support_cap: int):
     keep = w > 1e-12
     basis = u[:, keep] / np.sqrt(w[keep])
     coords = basis.conj().T @ gram
-    ka = len(a.components)
     return coords[:, :ka], coords[:, ka:]
+
+
+def _coords_and_weights(a: MixedEnsemble, b: MixedEnsemble, support_cap: int):
+    """Both ensembles' component coordinates in a basis of their joint span."""
+    return _span_coords(*_joint_components(a, b, support_cap), len(a.components))
 
 
 def _density(coords: np.ndarray, probs) -> np.ndarray:
@@ -481,8 +503,7 @@ def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
     return (u * np.sqrt(w)) @ u.conj().T
 
 
-def _fidelity_once(a: MixedEnsemble, b: MixedEnsemble, support_cap: int) -> float:
-    ca, cb = _coords_and_weights(a, b, support_cap)
+def _fidelity_once(a: MixedEnsemble, b: MixedEnsemble, ca: np.ndarray, cb: np.ndarray) -> float:
     rho = _density(ca, [p for p, _ in a.components])
     sigma = _density(cb, [p for p, _ in b.components])
     # nuclear-norm form of Uhlmann fidelity: spurious singular values enter
@@ -495,14 +516,23 @@ def fidelity(a, b, support_cap: int = SUPPORT_CAP) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
     Averaged over both argument orders so the result is exactly symmetric;
-    each one-sided evaluation already agrees to solver precision.
+    each one-sided evaluation already agrees to solver precision. The
+    component matrix is built once; the (b, a) order takes its rows
+    permuted, as building it for that order would give, and its own Gram.
     """
     a, b = _as_ensemble(a), _as_ensemble(b)
     if a is b or a.components == b.components:
         # identical descriptions are the same density matrix; skipping the
         # solver keeps B(rho, rho) at exactly zero instead of sqrt(eps)
         return 1.0
-    f = (_fidelity_once(a, b, support_cap) + _fidelity_once(b, a, support_cap)) / 2.0
+    vecs, dense = _joint_components(a, b, support_cap)
+    ka, kb = len(a.components), len(b.components)
+    swap = list(range(ka, ka + kb)) + list(range(ka))
+    f_ab = _fidelity_once(a, b, *_span_coords(vecs, dense, ka))
+    if dense is not None:
+        dense = dense[swap]  # rebound, so at most two copies are alive at once
+    f_ba = _fidelity_once(b, a, *_span_coords([vecs[i] for i in swap], dense, kb))
+    f = (f_ab + f_ba) / 2.0
     return min(max(f, 0.0), 1.0)
 
 

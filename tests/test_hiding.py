@@ -15,6 +15,122 @@ def _uniform_over_domain(layout, name):
     return qsim.init_uniform(layout, name)
 
 
+# -- frozenset and per-point references the array kernels must match --------
+
+
+def _frozenset_hidden_sets(orc, rng):
+    """Reference sampler: frozensets, the true set read from level_sets();
+    the array sampler must match it draw for draw."""
+    n, d = orc.n, orc.d
+    level_sets = orc.level_sets()
+    sets = {}
+    parent = None
+    for l in range(1, d + 1):
+        if parent is None:
+            parent = np.arange(orc.domain_size, dtype=np.int64)
+        true_set = np.fromiter(sorted(level_sets.at(l)), dtype=np.int64)
+        target = orc.domain_size >> (n * l)
+        pool = np.setdiff1d(parent, true_set, assume_unique=True)
+        extra = rng.choice(pool, size=target - len(true_set), replace=False)
+        chosen = np.sort(np.concatenate([true_set, extra]))
+        sets[(l, l)] = frozenset(int(p) for p in chosen)
+        pts = chosen
+        for j in range(l + 1, d + 1):
+            pts = orc.tables[j - 1][pts]
+            sets[(j, l)] = frozenset(int(p) for p in pts)
+            if j == l + 1:
+                parent = np.sort(pts)
+    return sets
+
+
+def _pointwise_shadow_answers(orc, sets, l, level, xs):
+    """Reference shadow layer: one frozenset lookup and one base answer per point."""
+    return [
+        orc.encode_answer(level, BOT if level >= l and x in sets[(level, l)] else orc._answer(level, x))
+        for x in xs
+    ]
+
+
+def _loop_find_probability(state, orc, query_spec, sets, l):
+    """Reference find probability: per-config frozenset lookups, summed in dict order."""
+    mask = orc.domain_size - 1
+    slots = [(level, state.layout.index(in_reg)) for level, in_reg, _ in query_spec if level >= l]
+    total = 0.0
+    for cfg, amp in state.amps.items():
+        if any((cfg[idx] & mask) in sets[(level, l)] for level, idx in slots):
+            total += abs(amp) ** 2
+    return total
+
+
+def _sparse_query_state(orc, rng, support=40):
+    # two input registers with random values and random amplitudes; the flag
+    # bit above the domain is set on some inputs and must be ignored
+    bits = orc.domain_bits
+    layout = qsim.RegisterLayout(("X", "Y", "A"), (bits + 1, bits + 1, bits + 1))
+    keys = set()
+    while len(keys) < support:
+        keys.add((int(rng.integers(2 << bits)), int(rng.integers(2 << bits)), 0))
+    amps = {k: complex(rng.normal(), rng.normal()) for k in keys}
+    norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return qsim.SparseState(layout, {k: a / norm for k, a in amps.items()})
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_array_kernels_match_frozenset_references(n, d):
+    bits = (d + 2) * n
+    names = ["X"] + [f"A{i}" for i in range(d + 1)]
+    layout = qsim.RegisterLayout(tuple(names), (bits,) + (bits + 1,) * d + (n + 1,))
+    flat = _uniform_over_domain(layout, "X")
+    full_spec = [(i, "X", f"A{i}") for i in range(d + 1)]
+    for seed in range(3):
+        rng = make_rng("kernels", n, d, seed)
+        orc = _simon_oracle(n, d, rng)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        hidden = hiding.sample_hidden_sets(orc, rng)
+        sets = _frozenset_hidden_sets(orc, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert set(hidden.sets) == set(sets)
+        for key, pts in hidden.sets.items():
+            assert pts.dtype == np.int64 and np.all(pts[1:] > pts[:-1])
+            assert set(pts.tolist()) == sets[key]
+
+        xs = sorted(set(rng.integers(orc.domain_size, size=200).tolist()))
+        sparse = _sparse_query_state(orc, rng)
+        for l in range(1, d + 1):
+            shadow = hiding.ShadowOracle(orc, hidden, l)
+            for level in range(d + 1):
+                for points in (xs, list(range(orc.domain_size))):
+                    want = _pointwise_shadow_answers(orc, sets, l, level, points)
+                    assert shadow.values_at(level, points) == want
+            for state, spec in (
+                (flat, full_spec),
+                (sparse, [(l, "X", "A")]),
+                (sparse, [(0, "X", "A"), (l, "X", "A"), (d, "Y", "A")]),
+            ):
+                got = hiding.find_probability(state, orc, spec, hidden, l)
+                assert got == _loop_find_probability(state, orc, spec, sets, l)
+
+
+def test_lab_paths_never_build_level_frozensets(monkeypatch):
+    # the O2H checks read the true level sets as arrays only
+    def refuse(self):
+        raise AssertionError("level_sets() builds one frozenset per level")
+
+    monkeypatch.setattr(oracle.MaterializedShufflingOracle, "level_sets", refuse)
+    rng = make_rng("no-frozensets")
+    sampler = lambda r: _simon_oracle(2, 2, r)
+    orc = sampler(rng)
+    hidden = hiding.sample_hidden_sets(orc, rng)
+    assert all(isinstance(pts, np.ndarray) for pts in hidden.sets.values())
+    layout = qsim.RegisterLayout(("X", "A"), (orc.domain_bits, orc.domain_bits + 1))
+    state = _uniform_over_domain(layout, "X")
+    assert hiding.check_hiding_bound(state, [(orc, hidden)], 1, [(1, "X", "A")]).all_hold
+    assert hiding.check_find_bound(state, orc, [(1, "X", "A")], 1, rng, resamples=5).holds
+    hiding.estimate_membership(sampler, 2, 1, trials=20, rng=rng)
+    assert hiding.estimate_membership(sampler, 2, 2, trials=20, rng=rng, on_level_set=True).hits == 20
+
+
 def test_hidden_set_keys_and_sizes():
     rng = make_rng("keys")
     orc = _simon_oracle(2, 1, rng)

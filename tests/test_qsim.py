@@ -6,6 +6,7 @@ import pytest
 from conftest import make_rng
 from dense_reference import DenseSim, amplitude, dense_statevector, offset, trace_distance
 from shufflesim import qsim
+from shufflesim.ledger import DepthLedger
 from shufflesim.oracle import sample_shuffling
 from shufflesim.simon import sample_one_to_one, sample_simon
 from shufflesim.solver import solver_layout
@@ -137,6 +138,25 @@ def test_query_spec_validation():
         with pytest.raises(qsim.SimulatorError, match="both read and written"):
             qsim.apply_oracle_xor(state, oracle, spec)
     assert qsim.apply_oracle_xor(state, oracle, [(0, "Q", "N0"), (1, "Q", "N1")]).support_size == 1
+
+
+def test_refused_layer_writes_nothing_and_charges_nothing():
+    # the second group's target is too narrow for level 1; the first group
+    # must not be answered (or merged) before the whole layer is refused
+    rng = make_rng("qsim", "refused-layer")
+    oracle = sample_shuffling(sample_simon(2, rng), 1, rng)
+    layout = qsim.RegisterLayout(("Q", "N0", "R", "S"), (2, oracle.answer_bits(0), 2, 2))
+    program = qsim.CircuitProgram(layout, (("uniform", "Q"), ("uniform", "R")))
+    ledger = DepthLedger()
+    machine = qsim.run_program(program, oracle, rng, ledger)
+    groups, states = dict(machine._group_of), list(machine.states)
+    with pytest.raises(qsim.SimulatorError, match="target register 'S' has width 2"):
+        machine.oracle_layer(((0, "Q", "N0"), (1, "R", "S")))
+    assert machine._group_of == groups
+    assert all(after is before for after, before in zip(machine.states, states))
+    assert machine.register_values("N0") == {0}
+    assert ledger.oracle_layers_total == 0
+    assert ledger.core_evaluations == 0
 
 
 class _StubOracle:
@@ -338,6 +358,63 @@ def test_distance_chain_inequality():
         assert td <= np.sqrt(1 - f * f) + 1e-9
         assert np.sqrt(1 - f * f) <= bu * np.sqrt(2) / np.sqrt(2 - bu**2 / 2 + 1e-15) + 1e-9
         assert td <= bu + 1e-9
+
+
+def _two_build_coords(a, b):
+    """Reference joint-span coordinates: the component matrix filled config
+    by config, built afresh for this argument order."""
+    vecs = [s.amps for _, s in a.components] + [s.amps for _, s in b.components]
+    union = {cfg for amps in vecs for cfg in amps}
+    index = {cfg: i for i, cfg in enumerate(sorted(union))}
+    dense = np.zeros((len(vecs), len(index)), dtype=np.complex128)
+    for i, amps in enumerate(vecs):
+        for cfg, amp in amps.items():
+            dense[i, index[cfg]] = amp
+    gram = dense @ dense.conj().T
+    gram = (gram + gram.conj().T) / 2
+    w, u = np.linalg.eigh(gram)
+    keep = w > 1e-12
+    coords = (u[:, keep] / np.sqrt(w[keep])).conj().T @ gram
+    ka = len(a.components)
+    return coords[:, :ka], coords[:, ka:]
+
+
+def _two_build_bures(a, b):
+    """Reference Bures distance: one full fidelity solve per argument order."""
+    a, b = qsim._as_ensemble(a), qsim._as_ensemble(b)
+    if a is b or a.components == b.components:
+        return 0.0
+
+    def once(x, y):
+        cx, cy = _two_build_coords(x, y)
+        rho = qsim._density(cx, [p for p, _ in x.components])
+        sigma = qsim._density(cy, [p for p, _ in y.components])
+        return float(np.linalg.svd(qsim._sqrtm_psd(rho) @ qsim._sqrtm_psd(sigma), compute_uv=False).sum())
+
+    f = min(max((once(a, b) + once(b, a)) / 2.0, 0.0), 1.0)
+    return float(np.sqrt(max(0.0, 2.0 - 2.0 * f)))
+
+
+def _random_ensemble(layout, rng, pool):
+    # components drawn from a shared pool so supports overlap, with random weights
+    picks = rng.choice(len(pool), size=int(rng.integers(1, 5)), replace=False)
+    weights = rng.random(len(picks)) + 0.1
+    weights /= weights.sum()
+    comps = [(float(p), pool[i]) for p, i in zip(weights, picks)]
+    comps[-1] = (1.0 - sum(p for p, _ in comps[:-1]), comps[-1][1])
+    return qsim.MixedEnsemble(tuple(comps))
+
+
+def test_bures_matches_two_build_reference_bit_for_bit():
+    layout = qsim.RegisterLayout.of(r=3, s=2)
+    rng = make_rng("bures-two-build")
+    pool = [random_state(layout, 1000 + i, support=int(rng.integers(1, 12))) for i in range(12)]
+    for _ in range(50):
+        a, b = _random_ensemble(layout, rng, pool), _random_ensemble(layout, rng, pool)
+        assert qsim.bures_distance(a, b) == _two_build_bures(a, b)
+        assert qsim.bures_distance(b, a) == _two_build_bures(b, a)
+    a, b = pool[0], pool[1]
+    assert qsim.bures_distance(a, b) == _two_build_bures(a, b)
 
 
 def test_gram_route_matches_dense_density():

@@ -235,8 +235,10 @@ _SWEEP = ["sweep", "--n", "2..3", "--d", "0..1", "--trials", "10", "--seed", "12
         ("sweep_materialized.json", [*_SWEEP, "--backend", "materialized"]),
         ("sweep_lazy.json", [*_SWEEP, "--backend", "lazy"]),
         ("solve.json", ["solve", "--n", "3", "--d", "2", "--trials", "30", "--seed", "7"]),
+        ("o2h.json", ["o2h", "--n", "2", "--d", "2", "--l", "1", "--trials", "300",
+                      "--samples", "20", "--resamples", "50", "--seed", "5"]),
     ],
-    ids=["sweep-materialized", "sweep-lazy", "solve"],
+    ids=["sweep-materialized", "sweep-lazy", "solve", "o2h"],
 )
 def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
     # golden files were written by an earlier build; any moved seeded output,
