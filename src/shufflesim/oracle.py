@@ -63,16 +63,6 @@ class Path:
         return self.points[-1]
 
 
-@dataclass(frozen=True)
-class LevelSets:
-    """S_0..S_d: the embedded domain and its images down the shuffle."""
-
-    sets: tuple[frozenset[int], ...]
-
-    def at(self, j: int) -> frozenset[int]:
-        return self.sets[j]
-
-
 class IncrementalInjection:
     """Uniform random injection on [0, size), revealed point by point.
 
@@ -233,7 +223,9 @@ class ShufflingOracle:
             ledger.record_core()
         return Path(tuple(points))
 
-    def level_sets(self) -> LevelSets:
+    def level_points(self, j: int) -> np.ndarray:
+        """S_j, the image of the embedded domain after j injections, as a
+        sorted int64 array."""
         raise OracleError("level sets require the materialized backend")
 
     def _answer(self, level: int, x: int):
@@ -300,12 +292,8 @@ class MaterializedShufflingOracle(ShufflingOracle):
         v = self._core_table[x]
         return BOT if v < 0 else int(v)
 
-    def level_sets(self) -> LevelSets:
-        return LevelSets(tuple(frozenset(int(p) for p in pts) for pts in self._level_points))
-
     def level_points(self, j: int) -> np.ndarray:
-        """S_j as a sorted int64 array (a fresh copy)."""
-        return np.sort(self._level_points[j])
+        return np.sort(self._level_points[j])  # a fresh copy
 
 
 class LazyShufflingOracle(ShufflingOracle):

@@ -173,8 +173,6 @@ def apply_oracle_xor(
     oracle: ShufflingOracle,
     query_spec,
     ledger: DepthLedger | None = None,
-    *,
-    checked: bool = False,
 ) -> SparseState:
     """One parallel oracle layer: for every (level, in, target) entry, XOR the
     flag-encoded answer for the input register's value into the target.
@@ -183,15 +181,9 @@ def apply_oracle_xor(
     the spec queries, so entries act on disjoint registers: they may share an
     input, but none may write a register another reads or writes. Inputs are
     read on their domain bits only (a flag bit above them is ignored). The
-    layer is then a bijection on configs and an involution. checked=True
-    skips the spec validation, for a caller that ran it on a layout holding
-    the state's registers.
+    layer is then a bijection on configs and an involution.
     """
-    layout = state.layout
-    if checked:
-        resolved = [(level, layout.index(i), layout.index(t)) for level, i, t in query_spec]
-    else:
-        resolved = _validate_query_spec(layout, oracle, query_spec)
+    resolved = _validate_query_spec(state.layout, oracle, query_spec)
     mask = oracle.domain_size - 1
     columns = list(zip(*state.amps))
     out = columns.copy()
@@ -367,7 +359,7 @@ class Interpreter:
             by_group.setdefault(self._group_of[entry[1]], []).append(entry)
         scratch = DepthLedger()
         for g, entries in by_group.items():
-            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, scratch, checked=True)
+            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, scratch)
         ledger.record_core(scratch.core_evaluations)
         ledger.record_oracle_layer()
 
@@ -452,9 +444,10 @@ def _joint_components(a: MixedEnsemble, b: MixedEnsemble, support_cap: int):
     vecs = [s.amps for _, s in a.components] + [s.amps for _, s in b.components]
     if len(vecs) > support_cap:
         raise SimulatorError(f"{len(vecs)} components exceed the cap of {support_cap}")
-    union = sorted(set().union(*vecs))
+    union = set().union(*vecs)
     if len(vecs) * len(union) > 1 << 24:
         return vecs, None
+    union = sorted(union)
     index = dict(zip(union, range(len(union))))
     dense = np.zeros((len(vecs), len(union)), dtype=np.complex128)
     for row, amps in zip(dense, vecs):
@@ -484,11 +477,6 @@ def _span_coords(vecs: list[dict], dense: np.ndarray | None, ka: int):
     basis = u[:, keep] / np.sqrt(w[keep])
     coords = basis.conj().T @ gram
     return coords[:, :ka], coords[:, ka:]
-
-
-def _coords_and_weights(a: MixedEnsemble, b: MixedEnsemble, support_cap: int):
-    """Both ensembles' component coordinates in a basis of their joint span."""
-    return _span_coords(*_joint_components(a, b, support_cap), len(a.components))
 
 
 def _density(coords: np.ndarray, probs) -> np.ndarray:

@@ -47,7 +47,7 @@ def dense_statevector(state, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
 def trace_distance(a, b, support_cap: int = qsim.SUPPORT_CAP) -> float:
     """Half the trace norm of rho - sigma."""
     a, b = qsim._as_ensemble(a), qsim._as_ensemble(b)
-    ca, cb = qsim._coords_and_weights(a, b, support_cap)
+    ca, cb = qsim._span_coords(*qsim._joint_components(a, b, support_cap), len(a.components))
     rho = qsim._density(ca, [p for p, _ in a.components])
     sigma = qsim._density(cb, [p for p, _ in b.components])
     w = np.linalg.eigvalsh(rho - sigma)

@@ -19,16 +19,15 @@ def _uniform_over_domain(layout, name):
 
 
 def _frozenset_hidden_sets(orc, rng):
-    """Reference sampler: frozensets, the true set read from level_sets();
-    the array sampler must match it draw for draw."""
+    """Reference sampler: frozensets, the true set rebuilt from a frozenset
+    of the level points; the array sampler must match it draw for draw."""
     n, d = orc.n, orc.d
-    level_sets = orc.level_sets()
     sets = {}
     parent = None
     for l in range(1, d + 1):
         if parent is None:
             parent = np.arange(orc.domain_size, dtype=np.int64)
-        true_set = np.fromiter(sorted(level_sets.at(l)), dtype=np.int64)
+        true_set = np.fromiter(sorted(frozenset(orc.level_points(l).tolist())), dtype=np.int64)
         target = orc.domain_size >> (n * l)
         pool = np.setdiff1d(parent, true_set, assume_unique=True)
         extra = rng.choice(pool, size=target - len(true_set), replace=False)
@@ -113,11 +112,12 @@ def test_array_kernels_match_frozenset_references(n, d):
 
 
 def test_lab_paths_never_build_level_frozensets(monkeypatch):
-    # the O2H checks read the true level sets as arrays only
-    def refuse(self):
-        raise AssertionError("level_sets() builds one frozenset per level")
+    # the O2H checks read the true and hidden level sets as arrays only
+    def refuse(*args):
+        raise AssertionError("a frozenset was built on an O2H path")
 
-    monkeypatch.setattr(oracle.MaterializedShufflingOracle, "level_sets", refuse)
+    for module in (hiding, oracle):
+        monkeypatch.setattr(module, "frozenset", refuse, raising=False)
     rng = make_rng("no-frozensets")
     sampler = lambda r: _simon_oracle(2, 2, r)
     orc = sampler(rng)
@@ -160,9 +160,8 @@ def test_true_level_sets_stay_hidden():
     rng = make_rng("containment")
     orc = _simon_oracle(2, 2, rng)
     hidden = hiding.sample_hidden_sets(orc, rng)
-    sets = orc.level_sets()
     for (j, l), pts in hidden.sets.items():
-        assert sets.at(j) <= set(pts)
+        assert set(orc.level_points(j).tolist()) <= set(pts.tolist())
 
 
 def test_hidden_sets_require_materialized_backend():

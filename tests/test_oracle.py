@@ -70,21 +70,21 @@ def test_path_matches_pointwise_queries():
 
 def test_level_sets_structure():
     inst, o = _oracle(2, 1, 7)
-    sets = o.level_sets()
-    assert sets.at(0) == frozenset(range(4))
-    assert len(sets.at(1)) == 4
-    assert sets.at(1) == frozenset(o.query_point(0, x) for x in range(4))
-    for y in sets.at(1):
+    s0, s1 = (set(o.level_points(j).tolist()) for j in (0, 1))
+    assert s0 == set(range(4))
+    assert len(s1) == 4
+    assert s1 == {o.query_point(0, x) for x in range(4)}
+    for y in s1:
         assert o.query_point(1, y) is not BOT
     # off the level set the core is undefined
-    off = next(iter(set(range(64)) - sets.at(1)))
+    off = next(iter(set(range(64)) - s1))
     assert o.query_point(1, off) is BOT
 
 
 def test_lazy_has_no_level_sets():
     _, o = _oracle(2, 1, 8, backend="lazy")
     with pytest.raises(OracleError):
-        o.level_sets()
+        o.level_points(1)
 
 
 def test_materialized_cap_enforced():
