@@ -177,11 +177,12 @@ def apply_oracle_xor(
     """One parallel oracle layer: for every (level, in, target) entry, XOR the
     flag-encoded answer for the input register's value into the target.
 
-    Counts as a single oracle layer on the ledger no matter how many levels
-    the spec queries, so entries act on disjoint registers: they may share an
-    input, but none may write a register another reads or writes. Inputs are
-    read on their domain bits only (a flag bit above them is ignored). The
-    layer is then a bijection on configs and an involution.
+    It is a single oracle layer no matter how many levels the spec queries,
+    so entries act on disjoint registers: they may share an input, but none
+    may write a register another reads or writes. Inputs are read on their
+    domain bits only (a flag bit above them is ignored). The layer is then a
+    bijection on configs and an involution. The ledger, if given, counts the
+    core evaluations; the layer itself is counted by Interpreter.oracle_layer.
     """
     resolved = _validate_query_spec(state.layout, oracle, query_spec)
     mask = oracle.domain_size - 1
@@ -195,8 +196,6 @@ def apply_oracle_xor(
             raise SimulatorError(f"level {level} answered outside register {state.layout.names[t_idx]!r}")
         answer = dict(zip(values, answers))
         out[t_idx] = [t ^ answer[v] for t, v in zip(columns[t_idx], inputs)]
-    if ledger is not None:
-        ledger.record_oracle_layer()
     amps = dict(zip(zip(*out), state.amps.values()))
     if len(amps) != len(state.amps):
         raise SimulatorError("oracle layer mapped two configs to one")
@@ -357,10 +356,8 @@ class Interpreter:
         by_group: dict[int, list] = {}
         for entry in query_spec:
             by_group.setdefault(self._group_of[entry[1]], []).append(entry)
-        scratch = DepthLedger()
         for g, entries in by_group.items():
-            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, scratch)
-        ledger.record_core(scratch.core_evaluations)
+            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, ledger)
         ledger.record_oracle_layer()
 
     def measure(self, name: str) -> int:

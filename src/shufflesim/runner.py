@@ -23,7 +23,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -49,20 +50,6 @@ from .schemes import (
 from .simon import sample_decision_instance, sample_one_to_one, sample_simon, verify_shift
 from .solver import SolverError, solve_decision, solve_search, solver_layout
 
-CSV_HEADER = [
-    "experiment",
-    "n",
-    "d",
-    "adversary",
-    "trials",
-    "success",
-    "ci_lo",
-    "ci_hi",
-    "oracle_layers_mean",
-    "classical_queries_mean",
-    "seconds",
-]
-
 
 @dataclass(frozen=True)
 class ResultRecord:
@@ -79,104 +66,125 @@ class ResultRecord:
     seconds: float
 
 
+CSV_HEADER = [f.name for f in fields(ResultRecord)]
+
+
 @dataclass(frozen=True)
 class _Cell:
     experiment: str
     n: int
     d: int
     adversary: str
-    trial: str
     backend: str
-    params: tuple
+    value: int | None
 
 
-# -- per-trial work, module level so worker processes can import it --------
+# -- the adversary table; module level so worker processes can import it -----
+
+
+@dataclass(frozen=True)
+class _Adversary:
+    """One adversary kind: instance sampler (n, rng), strategy (oracle, value,
+    rng) -> (answer, ledger), success test (instance, answer), and its one
+    parameter's name, default for (n, d), lower bound and grid-flag help.
+    Rows look module-level names up when run, so rebinding one takes effect."""
+
+    sample: Callable
+    play: Callable
+    wins: Callable
+    param: str | None = None
+    default: Callable = lambda n, d: None
+    minimum: int = 0
+    help: str | None = None
 
 
 def _layers_per_circuit(ledger: DepthLedger) -> float:
-    if ledger.circuits_invoked == 0:
-        return 0.0
-    return ledger.oracle_layers_total / ledger.circuits_invoked
+    return ledger.oracle_layers_total / ledger.circuits_invoked if ledger.circuits_invoked else 0.0
 
 
-def _trial_solve(n, d, backend, params, rng):
-    instance = sample_simon(n, rng)
-    oracle = sample_shuffling(instance, d, rng, backend=backend)
+def _charged(strategy, oracle, value, rng):
+    """(answer, ledger) of a strategy that fills the ledger it is handed."""
+    ledger = DepthLedger()
+    return strategy(oracle, value, rng, ledger), ledger
+
+
+def _solve(oracle, max_rounds, rng):
     ledger = DepthLedger()
     try:
-        found = solve_search(oracle, params.get("max_rounds"), rng, ledger)
-        ok = verify_shift(instance, found.value)
+        return solve_search(oracle, max_rounds, rng, ledger).value, ledger
     except (SolverError, OracleError):
-        ok = False
-    return ok, _layers_per_circuit(ledger), ledger.classical_queries
+        return None, ledger
 
 
-def _trial_decision(n, d, backend, params, rng):
-    instance = sample_decision_instance(n, rng)
-    oracle = sample_shuffling(instance, d, rng, backend=backend)
-    ledger = DepthLedger()
-    guess = solve_decision(oracle, params["rounds"], rng, ledger)
-    return guess is instance.kind, _layers_per_circuit(ledger), ledger.classical_queries
-
-
-def _trial_classical(n, d, backend, params, rng):
-    instance = sample_simon(n, rng)
-    oracle = sample_shuffling(instance, d, rng, backend=backend)
-    ledger = DepthLedger()
-    guess = classical_collision_adversary(oracle, params["q"], rng, ledger)
-    ok = guess is not None and verify_shift(instance, guess)
-    return ok, _layers_per_circuit(ledger), ledger.classical_queries
-
-
-def _trial_truncated(n, d, backend, params, rng):
-    instance = sample_decision_instance(n, rng)
-    oracle = sample_shuffling(instance, d, rng, backend=backend)
-    guess, ledger = truncated_quantum_adversary(oracle, params["budget"], rng)
-    return guess is instance.kind, _layers_per_circuit(ledger), ledger.classical_queries
-
-
-def _trial_cq(n, d, backend, params, rng):
-    rounds = params["rounds"]
-    instance = sample_decision_instance(n, rng)
-    oracle = sample_shuffling(instance, d, rng, backend=backend)
-    budget = SchemeBudget(depth=2 * d + 1, circuits=rounds)
-    guess, ledger = run_d_cq(solver_cq_decision_adversary(n, d, rounds), oracle, budget, rng)
-    return guess is instance.kind, _layers_per_circuit(ledger), ledger.classical_queries
-
-
-def _trial_qc(n, d, backend, params, rng):
-    rounds = params["rounds"]
-    instance = sample_decision_instance(n, rng)
-    oracle = sample_shuffling(instance, d, rng, backend=backend)
-    budget = SchemeBudget(depth=2 * d + 1)
-    guess, ledger = run_d_qc(solver_qc_decision_adversary(n, d, rounds), oracle, budget, rng)
-    return guess is instance.kind, _layers_per_circuit(ledger), ledger.classical_queries
-
-
-def _trial_violating(n, d, backend, params, rng):
+def _violate(oracle, value, rng):
     # deliberately requests 2d+1 layers against a 2d budget; never returns
-    instance = sample_decision_instance(n, rng)
-    oracle = sample_shuffling(instance, d, rng, backend=backend)
+    d = oracle.d
     budget = SchemeBudget(depth=2 * d, circuits=1)
-    run_d_cq(solver_cq_decision_adversary(n, d, 1), oracle, budget, rng)
+    run_d_cq(solver_cq_decision_adversary(oracle.n, d, 1), oracle, budget, rng)
     raise RuntimeError("depth violation was not raised")
 
 
-_TRIALS = {
-    "solve": _trial_solve,
-    "decision": _trial_decision,
-    "classical": _trial_classical,
-    "truncated": _trial_truncated,
-    "cq-solver": _trial_cq,
-    "qc-solver": _trial_qc,
-    "violating": _trial_violating,
+def _simon(n, rng):
+    return sample_simon(n, rng)
+
+
+def _decision(n, rng):
+    return sample_decision_instance(n, rng)
+
+
+def _shift_found(instance, shift) -> bool:
+    return shift is not None and verify_shift(instance, shift)
+
+
+def _kind_found(instance, guess) -> bool:
+    return guess is instance.kind
+
+
+_ROUNDS = dict(
+    param="rounds", default=lambda n, d: n + 10, minimum=1, help="sample rounds (decision strategies)"
+)
+
+_ADVERSARIES = {
+    # the solver's round cap is solve's --max-rounds; grids run it uncapped
+    "solver": _Adversary(_simon, _solve, _shift_found, param="max_rounds"),
+    "decision": _Adversary(
+        _decision, lambda o, rounds, rng: _charged(solve_decision, o, rounds, rng), _kind_found, **_ROUNDS
+    ),
+    "classical": _Adversary(
+        _simon, lambda o, q, rng: _charged(classical_collision_adversary, o, q, rng), _shift_found,
+        param="q", default=lambda n, d: 16, help="classical path-query budget",
+    ),
+    "truncated": _Adversary(
+        _decision, lambda o, budget, rng: truncated_quantum_adversary(o, budget, rng), _kind_found,
+        param="budget", default=lambda n, d: d, help="oracle-layer budget (truncated)",
+    ),
+    "cq-solver": _Adversary(
+        _decision,
+        lambda o, rounds, rng: run_d_cq(
+            solver_cq_decision_adversary(o.n, o.d, rounds), o,
+            SchemeBudget(depth=2 * o.d + 1, circuits=rounds), rng,
+        ),
+        _kind_found, **_ROUNDS,
+    ),
+    "qc-solver": _Adversary(
+        _decision,
+        lambda o, rounds, rng: run_d_qc(
+            solver_qc_decision_adversary(o.n, o.d, rounds), o, SchemeBudget(depth=2 * o.d + 1), rng
+        ),
+        _kind_found, **_ROUNDS,
+    ),
+    "violating": _Adversary(_decision, _violate, _kind_found),
 }
 
 
 def _run_trial(packed):
-    name, n, d, backend, params, entropy = packed
+    kind, n, d, backend, value, entropy = packed
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    return _TRIALS[name](n, d, backend, dict(params), rng)
+    row = _ADVERSARIES[kind]
+    instance = row.sample(n, rng)
+    oracle = sample_shuffling(instance, d, rng, backend=backend)
+    answer, ledger = row.play(oracle, value, rng)
+    return row.wins(instance, answer), _layers_per_circuit(ledger), ledger.classical_queries
 
 
 def run_cells(cells, trials: int, seed: int, jobs: int = 1, timing: bool = False) -> list[ResultRecord]:
@@ -187,7 +195,7 @@ def run_cells(cells, trials: int, seed: int, jobs: int = 1, timing: bool = False
         for cell_idx, cell in enumerate(cells):
             start = time.perf_counter()
             packed = [
-                (cell.trial, cell.n, cell.d, cell.backend, cell.params, (seed, cell_idx, t))
+                (cell.adversary, cell.n, cell.d, cell.backend, cell.value, (seed, cell_idx, t))
                 for t in range(trials)
             ]
             if pool is not None:
@@ -286,9 +294,9 @@ def _add_common(p: argparse.ArgumentParser, ranged: bool) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _resolve_common(args, default_trials: int, n: int, d: int, backend: str | None = None) -> None:
+def _resolve_common(args, default_trials: int, n: int, d: int) -> None:
     """Fill in defaults (environment first) and make --n and --d lists, then refuse
-    any grid with a cell no trial can run; `backend` overrides --backend here."""
+    any grid with a cell no trial can run."""
     args.seed = args.seed if args.seed is not None else _env("SEED", int, 0)
     args.trials = args.trials if args.trials is not None else _env("TRIALS", int, default_trials)
     args.backend = args.backend if args.backend is not None else _env("BACKEND", str, "materialized")
@@ -302,7 +310,7 @@ def _resolve_common(args, default_trials: int, n: int, d: int, backend: str | No
         raise SystemExit("--n must be at least 1")
     if min(args.d) < 0:
         raise SystemExit("--d must be at least 0")
-    if (backend or args.backend) == "materialized":
+    if args.backend == "materialized":
         try:
             check_materialized_cap((max(args.d) + 2) * max(args.n))
         except OracleError as exc:
@@ -318,62 +326,33 @@ def _as_list(value, fallback: int) -> list[int]:
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_solve(args) -> None:
-    _resolve_common(args, default_trials=200, n=3, d=1)
-    params = ()
-    if args.max_rounds is not None:
-        params = (("max_rounds", args.max_rounds),)
-    cells = [_Cell("solve", args.n[0], args.d[0], "solver", "solve", args.backend, params)]
-    _emit_records(run_cells(cells, args.trials, args.seed, args.jobs, args.timing), args)
+def _cell(experiment: str, kind: str, n: int, d: int, args) -> _Cell:
+    row = _ADVERSARIES.get(kind)
+    if row is None:
+        raise SystemExit(f"unknown adversary kind {kind!r}")
+    value = getattr(args, row.param, None) if row.param else None
+    if value is None:
+        value = row.default(n, d)
+    elif value < row.minimum:
+        raise SystemExit(f"--{row.param.replace('_', '-')} must be at least {row.minimum}")
+    return _Cell(experiment, n, d, kind, args.backend, value)
 
 
-def _cell_for(experiment: str, kind: str, n: int, d: int, backend: str, args) -> _Cell:
-    q = getattr(args, "q", None)
-    budget = getattr(args, "budget", None)
-    rounds = getattr(args, "rounds", None)
-    if kind == "solver":
-        return _Cell(experiment, n, d, "solver", "solve", backend, ())
-    if kind == "classical":
-        return _Cell(experiment, n, d, kind, kind, backend, (("q", q if q is not None else 16),))
-    if kind == "truncated":
-        return _Cell(
-            experiment, n, d, kind, kind, backend,
-            (("budget", budget if budget is not None else d),),
-        )
-    if kind in ("decision", "cq-solver", "qc-solver"):
-        return _Cell(
-            experiment, n, d, kind, kind, backend,
-            (("rounds", rounds if rounds is not None else n + 10),),
-        )
-    if kind == "violating":
-        return _Cell(experiment, n, d, kind, kind, backend, ())
-    raise SystemExit(f"unknown adversary kind {kind!r}")
-
-
-def _cmd_sweep(args) -> None:
-    _resolve_common(args, default_trials=100, n=3, d=1)
+def _cmd_grid(args) -> None:
+    """solve, sweep and adversary: every listed kind on every (n, d) cell."""
+    _resolve_common(args, default_trials=args.default_trials, n=3, d=1)
     kinds = [k.strip() for k in args.adversaries.split(",") if k.strip()]
-    cells = [
-        _cell_for("sweep", kind, n, d, args.backend, args)
-        for n in args.n
-        for d in args.d
-        for kind in kinds
-    ]
-    _emit_records(run_cells(cells, args.trials, args.seed, args.jobs, args.timing), args)
-
-
-def _cmd_adversary(args) -> None:
-    _resolve_common(args, default_trials=200, n=3, d=1)
-    cells = [
-        _cell_for("adversary", args.kind, n, d, args.backend, args) for n in args.n for d in args.d
-    ]
+    if not kinds:
+        raise SystemExit("--adversaries names no adversary kind")
+    cells = [_cell(args.experiment, kind, n, d, args) for n in args.n for d in args.d for kind in kinds]
     _emit_records(run_cells(cells, args.trials, args.seed, args.jobs, args.timing), args)
 
 
 def _cmd_o2h(args) -> None:
     if args.backend == "lazy":
         raise SystemExit("o2h samples hidden sets, which needs the materialized backend; drop --backend lazy")
-    _resolve_common(args, default_trials=2000, n=2, d=2, backend="materialized")
+    args.backend = "materialized"
+    _resolve_common(args, default_trials=2000, n=2, d=2)
     n, d = args.n[0], args.d[0]
     l = args.l
     if not 1 <= l <= d:
@@ -451,31 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="search-success statistics for the full solver")
     _add_common(p, ranged=False)
     p.add_argument("--max-rounds", type=int, default=None)
-    p.set_defaults(fn=_cmd_solve)
+    p.set_defaults(fn=_cmd_grid, experiment="solve", adversaries="solver", default_trials=200)
 
-    p = sub.add_parser("sweep", help="separation table over an n x d grid")
-    _add_common(p, ranged=True)
-    p.add_argument(
-        "--adversaries",
-        default="solver,truncated",
-        help="comma list of solver,classical,truncated,decision,cq-solver,qc-solver",
-    )
-    p.add_argument("--q", type=int, default=None, help="classical path-query budget")
-    p.add_argument("--budget", type=int, default=None, help="oracle-layer budget (truncated)")
-    p.add_argument("--rounds", type=int, default=None, help="sample rounds (decision strategies)")
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("adversary", help="restricted-resource strategies")
-    _add_common(p, ranged=True)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["classical", "truncated", "decision", "cq-solver", "qc-solver", "violating"],
-    )
-    p.add_argument("--q", type=int, default=None, help="classical path-query budget")
-    p.add_argument("--budget", type=int, default=None, help="oracle-layer budget (truncated)")
-    p.add_argument("--rounds", type=int, default=None, help="sample rounds (decision strategies)")
-    p.set_defaults(fn=_cmd_adversary)
+    grid_flags = {row.param: row.help for row in _ADVERSARIES.values() if row.help}
+    for name, help_text, trials in (
+        ("sweep", "separation table over an n x d grid", 100),
+        ("adversary", "one adversary kind over an n x d grid", 200),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, ranged=True)
+        if name == "sweep":
+            p.add_argument(
+                "--adversaries", default="solver,truncated", help=f"comma list of {','.join(_ADVERSARIES)}"
+            )
+        else:
+            p.add_argument("--kind", dest="adversaries", required=True, choices=list(_ADVERSARIES))
+        for param, flag_help in grid_flags.items():
+            p.add_argument(f"--{param}", type=int, default=None, help=flag_help)
+        p.set_defaults(fn=_cmd_grid, experiment=name, default_trials=trials)
 
     p = sub.add_parser("o2h", help="hiding, find-probability, and membership reports")
     _add_common(p, ranged=False)

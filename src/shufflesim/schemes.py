@@ -90,27 +90,12 @@ class PersistentSchemeCaps(_CapsBase):
             over_depth="total depth budget of {} layers exceeded",
         )
 
-    def _need_machine(self) -> qsim.Interpreter:
+    def run(self, ops) -> dict[str, int]:
+        """Run program ops on the declared state; returns a copy of every
+        outcome so far. Call it again for adaptive control between steps."""
         if self._machine is None:
             raise qsim.SimulatorError("declare a layout before quantum ops")
-        return self._machine
-
-    def uniform(self, register: str) -> None:
-        self._need_machine().uniform(register)
-
-    def hadamard(self, register: str) -> None:
-        self._need_machine().hadamard(register)
-
-    def oracle_layer(self, query_spec) -> None:
-        self._need_machine().oracle_layer(query_spec)
-
-    def measure(self, *registers: str) -> dict[str, int]:
-        machine = self._need_machine()
-        return {name: machine.measure(name) for name in registers}
-
-    def run(self, ops) -> dict[str, int]:
-        """Run program ops on the declared state; returns every outcome so far."""
-        return self._need_machine().run(ops)
+        return dict(self._machine.run(ops))
 
 
 def run_d_cq(adversary, oracle: ShufflingOracle, budget: SchemeBudget, rng: np.random.Generator):

@@ -28,12 +28,11 @@ class SolverError(Exception):
 @dataclass(frozen=True)
 class RoundResult:
     """One Fourier sample: the measured j, the core value observed mid-round,
-    and the depth accounting for the round's circuit."""
+    and the oracle layers the round's circuit used."""
 
     j: BitVector
     core_value: int | None
     oracle_layers: int
-    ledger: DepthLedger
 
 
 def solver_layout(n: int, d: int) -> qsim.RegisterLayout:
@@ -75,7 +74,6 @@ def run_simon_round(
         j=BitVector(machine.outcomes["Q"], n),
         core_value=None if core is BOT else int(core),
         oracle_layers=ledger.oracle_layers_current_circuit,
-        ledger=ledger.snapshot(),
     )
 
 

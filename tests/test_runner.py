@@ -51,7 +51,7 @@ def test_layers_per_circuit_zero_circuits():
 
 
 def test_run_cells_deterministic_and_parallel_equal():
-    cells = [runner._Cell("solve", 2, 1, "solver", "solve", "materialized", ())]
+    cells = [runner._Cell("solve", 2, 1, "solver", "materialized", None)]
     a = runner.run_cells(cells, trials=16, seed=5)
     b = runner.run_cells(cells, trials=16, seed=5)
     assert a == b
@@ -72,9 +72,9 @@ def test_run_cells_builds_one_pool_per_run(monkeypatch):
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", counting_pool)
     cells = [
-        runner._Cell("solve", 2, 1, "solver", "solve", "materialized", ()),
-        runner._Cell("classical", 3, 0, "classical", "classical", "materialized", (("q", 4),)),
-        runner._Cell("truncated", 2, 1, "truncated", "truncated", "materialized", (("budget", 1),)),
+        runner._Cell("solve", 2, 1, "solver", "materialized", None),
+        runner._Cell("classical", 3, 0, "classical", "materialized", 4),
+        runner._Cell("truncated", 2, 1, "truncated", "materialized", 1),
     ]
     serial = runner.run_cells(cells, trials=8, seed=9)
     assert built == []
@@ -258,8 +258,18 @@ def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
         (["solve", "--n", "0"], "--n must be at least 1"),
         (["solve", "--d", "-1"], "--d must be at least 0"),
         (["sweep", "--n", "2,10", "--d", "1"], "exceeds the materialized cap"),
+        (["sweep", "--adversaries", "classical", "--q", "-1"], "--q must be at least 0"),
+        (["sweep", "--adversaries", "truncated", "--budget", "-1"], "--budget must be at least 0"),
+        (["adversary", "--kind", "qc-solver", "--rounds", "0"], "--rounds must be at least 1"),
+        (["solve", "--max-rounds", "-1"], "--max-rounds must be at least 0"),
+        (["sweep", "--adversaries", ","], "--adversaries names no adversary kind"),
+        (["sweep", "--adversaries", "oracle"], "unknown adversary kind 'oracle'"),
     ],
-    ids=["materialized-cap", "zero-trials", "zero-n", "negative-d", "one-oversize-sweep-cell"],
+    ids=[
+        "materialized-cap", "zero-trials", "zero-n", "negative-d", "one-oversize-sweep-cell",
+        "negative-q", "negative-budget", "zero-rounds", "negative-max-rounds", "no-adversaries",
+        "unknown-adversary",
+    ],
 )
 def test_unrunnable_inputs_exit_before_any_trial(argv, message, monkeypatch):
     def no_trial(packed):

@@ -106,15 +106,15 @@ def test_qc_layout_and_init_guards():
         schemes.run_d_qc(declare_twice, orc, schemes.SchemeBudget(depth=1), rng)
 
     def op_before_declare(caps, rng):
-        caps.hadamard("Q")
+        caps.run([("hadamard", "Q")])
 
     with pytest.raises(qsim.SimulatorError):
         schemes.run_d_qc(op_before_declare, orc, schemes.SchemeBudget(depth=1), rng)
 
     def reinit(caps, rng):
         caps.declare(solver.solver_layout(2, 0))
-        caps.uniform("Q")
-        caps.uniform("Q")
+        caps.run([("uniform", "Q")])
+        caps.run([("uniform", "Q")])
 
     with pytest.raises(qsim.SimulatorError):
         schemes.run_d_qc(reinit, orc, schemes.SchemeBudget(depth=1), rng)
@@ -126,11 +126,11 @@ def test_unknown_register_is_a_simulator_error():
     caps = schemes.PersistentSchemeCaps(orc, schemes.SchemeBudget(depth=1), rng)
     caps.declare(solver.solver_layout(2, 0))
     ops = [
-        lambda: caps.uniform("X"),
-        lambda: caps.hadamard("X"),
-        lambda: caps.measure("X"),
-        lambda: caps.oracle_layer(((0, "X", "N0"),)),
-        lambda: caps.oracle_layer(((0, "Q", "X"),)),
+        lambda: caps.run([("uniform", "X")]),
+        lambda: caps.run([("hadamard", "X")]),
+        lambda: caps.run([("measure", "X")]),
+        lambda: caps.run([("oracle", ((0, "X", "N0"),))]),
+        lambda: caps.run([("oracle", ((0, "Q", "X"),))]),
         lambda: caps._machine.register_values("X"),
     ]
     for op in ops:
@@ -267,15 +267,14 @@ def test_full_measurement_collapses_qc_to_cq():
     for _ in range(trials):
         caps = schemes.PersistentSchemeCaps(orc, schemes.SchemeBudget(depth=3), rng)
         caps.declare(layout)
-        caps.uniform("Q")
-        caps.oracle_layer(((0, "Q", "N0"),))
-        first = caps.measure("Q", "N0")
-        caps.oracle_layer(((1, "N0", "N1"),))
-        core = orc.decode_answer(1, caps.measure("N1")["N1"])
-        caps.oracle_layer(((0, "Q", "N0"),))
-        assert caps.measure("N0")["N0"] == 0
-        caps.hadamard("Q")
-        j = caps.measure("Q")["Q"]
+        first = caps.run(
+            [("uniform", "Q"), ("oracle", ((0, "Q", "N0"),)), ("measure", "Q"), ("measure", "N0")]
+        )
+        kept = dict(first)
+        core = orc.decode_answer(1, caps.run([("oracle", ((1, "N0", "N1"),)), ("measure", "N1")])["N1"])
+        assert caps.run([("oracle", ((0, "Q", "N0"),)), ("measure", "N0")])["N0"] == 0
+        j = caps.run([("hadamard", "Q"), ("measure", "Q")])["Q"]
+        assert first == kept  # later runs leave an earlier run's outcomes alone
         key = (first["Q"], core, j)
         qc_counts[key] = qc_counts.get(key, 0) + 1
 

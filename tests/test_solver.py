@@ -21,10 +21,12 @@ def _reference_round(orc, rng, ledger):
     state = qsim.init_uniform(solver.solver_layout(n, d), "Q")
     for i in range(d + 1):
         state = qsim.apply_oracle_xor(state, orc, [_entry(i)], ledger)
+        ledger.record_oracle_layer()
     raw_core, state = qsim.measure_register(state, f"N{d}", rng)
     core = orc.decode_answer(d, raw_core)
     for i in reversed(range(d)):
         state = qsim.apply_oracle_xor(state, orc, [_entry(i)], ledger)
+        ledger.record_oracle_layer()
     for i in range(d):
         assert state.register_values(f"N{i}") == {0}
     state = qsim.hadamard_register(state, "Q")
