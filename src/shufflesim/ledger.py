@@ -1,4 +1,5 @@
-"""Depth and query accounting shared by the solver and the scheme harnesses."""
+"""Depth and query accounting shared by the solver and the scheme harnesses,
+and the one place where a run's budget is enforced."""
 
 from __future__ import annotations
 
@@ -17,14 +18,31 @@ class DepthViolation(Exception):
         return type(self), (str(self), self.ledger)
 
 
+@dataclass(frozen=True)
+class SchemeBudget:
+    """A run's caps, None = unlimited. depth: oracle layers per circuit; the
+    circuit scheme (d-CQ) starts a circuit per invocation, while the
+    persistent scheme (d-QC) is one circuit, so there it caps the whole
+    computation. circuits: circuit invocations. classical_queries: the summed
+    cost of classical point and path queries."""
+
+    depth: int | None = None
+    circuits: int | None = None
+    classical_queries: int | None = None
+
+
 @dataclass
 class DepthLedger:
-    """Counters for oracle layers, circuit invocations, and classical queries.
+    """Counters for oracle layers, circuit invocations, and classical queries,
+    charged against `budget`.
 
     One call that queries many levels in parallel counts as a single oracle
     layer; its entries may share inputs but write no register any entry
     reads. core_evaluations counts answers served from the core function on
-    its defined domain, classically or from superposition support.
+    its defined domain, classically or from superposition support. A layer,
+    circuit or classical charge past its cap is recorded as a violation and
+    raises DepthViolation, leaving the counter as it was; callers charge
+    before the oracle answers, so a refused charge reveals nothing.
     """
 
     oracle_layers_current_circuit: int = 0
@@ -33,16 +51,31 @@ class DepthLedger:
     classical_queries: int = 0
     core_evaluations: int = 0
     violations: list[str] = field(default_factory=list)
+    budget: SchemeBudget = SchemeBudget()
+
+    def _charge(self, cap: int | None, total: int, message: str) -> None:
+        if cap is not None and total > cap:
+            self.record_violation(message.format(cap))
+            raise DepthViolation(self.violations[-1], self)
 
     def record_oracle_layer(self) -> None:
+        self._charge(
+            self.budget.depth, self.oracle_layers_current_circuit + 1,
+            "depth budget of {} layers per circuit exceeded",
+        )
         self.oracle_layers_current_circuit += 1
         self.oracle_layers_total += 1
 
     def record_circuit(self) -> None:
+        self._charge(self.budget.circuits, self.circuits_invoked + 1, "circuit budget of {} exceeded")
         self.circuits_invoked += 1
         self.oracle_layers_current_circuit = 0
 
     def record_classical(self, count: int = 1) -> None:
+        self._charge(
+            self.budget.classical_queries, self.classical_queries + count,
+            "classical query budget of {} exceeded",
+        )
         self.classical_queries += count
 
     def record_core(self, count: int = 1) -> None:

@@ -173,14 +173,14 @@ class ShufflingOracle:
 
     def query_point(self, level: int, x: int, ledger: DepthLedger | None = None):
         """Classical query: the level's function value, BOT off the core's
-        domain at level d."""
+        domain at level d. The ledger is charged before the oracle answers."""
         self._check_level(level)
         self._check_point(x)
-        answer = self._answer(level, x)
         if ledger is not None:
             ledger.record_classical()
-            if level == self.d and answer is not BOT:
-                ledger.record_core()
+        answer = self._answer(level, x)
+        if ledger is not None and level == self.d and answer is not BOT:
+            ledger.record_core()
         self._record(level, x, answer)
         return answer
 
@@ -211,6 +211,8 @@ class ShufflingOracle:
         """Chase the full chain from an embedded root to its instance value."""
         if not 0 <= x0 < (1 << self.n):
             raise OracleError(f"path queries start in the embedded domain, got {x0}")
+        if ledger is not None:
+            ledger.record_classical(self.path_query_cost)
         points = [x0]
         for level in range(self.d + 1):
             answer = self._answer(level, points[-1])
@@ -219,7 +221,6 @@ class ShufflingOracle:
             self._record(level, points[-1], answer)
             points.append(int(answer))
         if ledger is not None:
-            ledger.record_classical(self.path_query_cost)
             ledger.record_core()
         return Path(tuple(points))
 
@@ -246,12 +247,12 @@ class ShufflingOracle:
             )
 
 
-def check_materialized_cap(domain_bits: int, cap: int = MATERIALIZED_CAP_BITS) -> None:
+def check_materialized_cap(domain_bits: int) -> None:
     """Refuse a domain too wide for the materialized backend's tables."""
-    if domain_bits > cap:
+    if domain_bits > MATERIALIZED_CAP_BITS:
         raise OracleError(
             f"(d+2)n = {domain_bits} bits exceeds the materialized cap "
-            f"of {cap}; use the lazy backend"
+            f"of {MATERIALIZED_CAP_BITS}; use the lazy backend"
         )
 
 
@@ -259,16 +260,9 @@ class MaterializedShufflingOracle(ShufflingOracle):
     """Backend with fully sampled permutation tables; domain capped to keep
     the tables in memory."""
 
-    def __init__(
-        self,
-        instance: SimonInstance,
-        d: int,
-        rng: np.random.Generator,
-        materialized_cap: int = MATERIALIZED_CAP_BITS,
-        **kwargs,
-    ) -> None:
+    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator, **kwargs) -> None:
         super().__init__(instance, d, **kwargs)
-        check_materialized_cap(self.domain_bits, materialized_cap)
+        check_materialized_cap(self.domain_bits)
         size = self.domain_size
         self.tables = [rng.permutation(size).astype(np.int64) for _ in range(d)]
         points = np.arange(1 << self.n, dtype=np.int64)
@@ -471,16 +465,13 @@ def sample_shuffling(
     d: int,
     rng: np.random.Generator,
     backend: str = "materialized",
-    materialized_cap: int = MATERIALIZED_CAP_BITS,
     path_query_cost: int | None = None,
     record_transcript: bool = False,
 ) -> ShufflingOracle:
     """Sample a depth-d shuffling of the instance, choosing the backend."""
     kwargs = {"path_query_cost": path_query_cost, "record_transcript": record_transcript}
     if backend == "materialized":
-        return MaterializedShufflingOracle(
-            instance, d, rng, materialized_cap=materialized_cap, **kwargs
-        )
+        return MaterializedShufflingOracle(instance, d, rng, **kwargs)
     if backend == "lazy":
         return LazyShufflingOracle(instance, d, rng, **kwargs)
     raise ValueError(f"unknown backend {backend!r}")

@@ -5,8 +5,8 @@ register-value tuples to amplitudes; the solver's access pattern keeps the
 support polynomial, so no dense 2^W vector is ever built. Oracle answers are
 XORed into target registers (a basis permutation), Hadamard layers act on one
 register, and measurement collapses one register by the Born rule. A
-CircuitProgram lists such ops, and one Interpreter runs them, counting oracle
-layers and enforcing layer budgets.
+CircuitProgram lists such ops, and one Interpreter runs them, charging each
+oracle layer to the ledger, which enforces the run's budget.
 
 Ops build states from valid ones without the full config check. The Hadamard
 and measurement kernels add terms in a term-by-term loop's order and match it.
@@ -21,7 +21,7 @@ from itertools import compress
 
 import numpy as np
 
-from .ledger import DepthLedger, DepthViolation
+from .ledger import DepthLedger
 from .oracle import ShufflingOracle
 
 PRUNE_TOL = 1e-12
@@ -294,36 +294,19 @@ def _linked_groups(program: CircuitProgram) -> tuple[dict[str, int], tuple]:
 class Interpreter:
     """Runs circuit ops on a sparse state factored into register groups, so
     registers that never interact cost the sum, not the product, of their
-    supports. The program's oracle ops link groups up front; an oracle entry
-    coupling two groups merges them on demand. Every oracle layer is counted
-    on the ledger, and one beyond `depth` in the ledger's current circuit is
-    recorded as a violation and refused."""
+    supports. The program's oracle ops fix the groups; an oracle entry
+    coupling registers the program never links is refused. Each oracle layer
+    is validated, then charged to the ledger (which enforces the budget),
+    then answered."""
 
     def __init__(
-        self, program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator,
-        ledger: DepthLedger, depth: int | None = None,
-        over_depth: str = "depth budget of {} layers per circuit exceeded",
+        self, program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger
     ) -> None:
         self._layout, self._oracle, self._rng, self.ledger = program.layout, oracle, rng, ledger
-        self._depth, self._over_depth = depth, over_depth
-        group_of, states = _linked_groups(program)
-        self._group_of, self.states = dict(group_of), list(states)
+        self._group_of, states = _linked_groups(program)
+        self.states = list(states)
         self._touched: set[str] = set()
         self.outcomes: dict[str, int] = {}
-
-    def _merge(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        a, b = sorted((a, b))
-        sa, sb = self.states[a], self.states[b]
-        layout = RegisterLayout(sa.layout.names + sb.layout.names, sa.layout.widths + sb.layout.widths)
-        amps = {ca + cb: aa * ab for ca, aa in sa.amps.items() for cb, ab in sb.amps.items()}
-        # a product of two kept amplitudes can still fall below PRUNE_TOL
-        amps = {cfg: amp for cfg, amp in amps.items() if abs(amp) > PRUNE_TOL}
-        self.states[a] = SparseState._trusted(layout, amps)
-        self.states[b] = None
-        for name in sb.layout.names:
-            self._group_of[name] = a
 
     def _group(self, name: str) -> int:
         if name not in self._group_of:
@@ -343,22 +326,19 @@ class Interpreter:
         self.states[g] = hadamard_register(self.states[g], name)
 
     def oracle_layer(self, query_spec) -> None:
-        ledger = self.ledger
-        if self._depth is not None and ledger.oracle_layers_current_circuit >= self._depth:
-            ledger.record_violation(self._over_depth.format(self._depth))
-            raise DepthViolation(ledger.violations[-1], ledger)
-        # the whole layer is validated before any group is merged or written,
-        # so a refused layer leaves no answer behind
+        # the whole layer is validated and charged before any group is
+        # written, so a refused layer leaves no answer behind
         _validate_query_spec(self._layout, self._oracle, query_spec)
-        for _, in_reg, target_reg in query_spec:
-            self._merge(self._group(in_reg), self._group(target_reg))
-            self._touched.update((in_reg, target_reg))
         by_group: dict[int, list] = {}
         for entry in query_spec:
-            by_group.setdefault(self._group_of[entry[1]], []).append(entry)
+            g = self._group_of[entry[1]]
+            if self._group_of[entry[2]] != g:
+                raise SimulatorError(f"registers {entry[1]!r} and {entry[2]!r} are not linked by the program")
+            by_group.setdefault(g, []).append(entry)
+        self.ledger.record_oracle_layer()
+        self._touched.update(name for entry in query_spec for name in entry[1:])
         for g, entries in by_group.items():
-            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, ledger)
-        ledger.record_oracle_layer()
+            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, self.ledger)
 
     def measure(self, name: str) -> int:
         g = self._group(name)
@@ -382,12 +362,11 @@ class Interpreter:
 
 
 def run_program(
-    program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator,
-    ledger: DepthLedger, depth: int | None = None,
+    program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger
 ) -> Interpreter:
     """Run a program as one circuit invocation; returns the interpreter that ran it."""
     ledger.record_circuit()
-    machine = Interpreter(program, oracle, rng, ledger, depth)
+    machine = Interpreter(program, oracle, rng, ledger)
     machine.run(program.ops)
     return machine
 

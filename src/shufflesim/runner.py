@@ -475,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
+    except SolverError as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

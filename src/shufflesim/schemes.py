@@ -1,61 +1,40 @@
 """Depth-budgeted computation schemes and reference adversaries.
 
-Two harnesses own the state, the rng, and the depth ledger; adversaries only
-see capability objects. The circuit-per-invocation harness (classical control
-between full measurements) enforces a per-circuit layer budget and an
-invocation budget; the persistent-state harness allows partial measurement
-after every layer but caps total oracle layers. Circuits are restricted to
-uniform initialization, Hadamard layers, parallel oracle layers, and
-measurement, which covers every strategy simulated here while keeping states
-sparse. Both harnesses run their ops on qsim's circuit Interpreter.
+Two harnesses own the state, the rng, and the depth ledger, which enforces
+their SchemeBudget; adversaries only see capability objects. The
+circuit-per-invocation harness (classical control between full measurements)
+caps layers per circuit and circuit invocations. The persistent-state harness
+is one circuit with partial measurement after every layer, so its depth cap
+bounds total oracle layers; its declared program fixes which registers may
+interact. Circuits are restricted to uniform initialization, Hadamard layers,
+parallel oracle layers, and measurement, which covers every strategy simulated
+here while keeping states sparse. Both run on qsim's circuit Interpreter.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qsim
 from .gf2 import BitVector
-from .ledger import DepthLedger, DepthViolation
+from .ledger import DepthLedger, SchemeBudget
 from .oracle import ShufflingOracle, _draw_uniform
 from .qsim import CircuitProgram
 from .simon import InstanceKind
 from .solver import decide_from_samples, round_program, solve_decision
 
 
-@dataclass(frozen=True)
-class SchemeBudget:
-    """depth: max oracle layers per circuit (circuit scheme) or in total
-    (persistent scheme); circuits/classical_queries: None = unlimited."""
-
-    depth: int
-    circuits: int | None = None
-    classical_queries: int | None = None
-
-
 class _CapsBase:
     def __init__(self, oracle: ShufflingOracle, budget: SchemeBudget, rng: np.random.Generator):
         self._oracle = oracle
-        self._budget = budget
         self._rng = rng
-        self.ledger = DepthLedger()
-        self.n = oracle.n
-        self.d = oracle.d
-
-    def _check_classical(self, cost: int) -> None:
-        cap = self._budget.classical_queries
-        if cap is not None and self.ledger.classical_queries + cost > cap:
-            self.ledger.record_violation(f"classical query budget of {cap} exceeded")
-            raise DepthViolation(self.ledger.violations[-1], self.ledger)
+        self.ledger = DepthLedger(budget=budget)
+        self.n, self.d = oracle.n, oracle.d
 
     def query(self, level: int, x: int):
-        self._check_classical(1)
         return self._oracle.query_point(level, x, self.ledger)
 
     def path(self, x0: int):
-        self._check_classical(self._oracle.path_query_cost)
         return self._oracle.query_path(x0, self.ledger)
 
 
@@ -64,13 +43,7 @@ class CircuitSchemeCaps(_CapsBase):
 
     def run_circuit(self, program: CircuitProgram) -> dict[str, int]:
         """Run one circuit, then measure every register in layout order."""
-        budget = self._budget
-        if budget.circuits is not None and self.ledger.circuits_invoked >= budget.circuits:
-            self.ledger.record_violation(f"circuit budget of {budget.circuits} exceeded")
-            raise DepthViolation(self.ledger.violations[-1], self.ledger)
-        return qsim.run_program(
-            program.measure_all(), self._oracle, self._rng, self.ledger, budget.depth
-        ).outcomes
+        return qsim.run_program(program.measure_all(), self._oracle, self._rng, self.ledger).outcomes
 
 
 class PersistentSchemeCaps(_CapsBase):
@@ -82,19 +55,19 @@ class PersistentSchemeCaps(_CapsBase):
         self._machine: qsim.Interpreter | None = None
         self.ledger.record_circuit()
 
-    def declare(self, layout: qsim.RegisterLayout) -> None:
+    def declare(self, program: CircuitProgram) -> None:
+        """Fix the computation's registers: the program's layout, grouped by
+        the registers its oracle ops link. Its ops are not run; an oracle op
+        run later may only couple registers the program links."""
         if self._machine is not None:
-            raise qsim.SimulatorError("layout already declared")
-        self._machine = qsim.Interpreter(
-            CircuitProgram(layout, ()), self._oracle, self._rng, self.ledger, self._budget.depth,
-            over_depth="total depth budget of {} layers exceeded",
-        )
+            raise qsim.SimulatorError("program already declared")
+        self._machine = qsim.Interpreter(program, self._oracle, self._rng, self.ledger)
 
     def run(self, ops) -> dict[str, int]:
         """Run program ops on the declared state; returns a copy of every
         outcome so far. Call it again for adaptive control between steps."""
         if self._machine is None:
-            raise qsim.SimulatorError("declare a layout before quantum ops")
+            raise qsim.SimulatorError("declare a program before quantum ops")
         return dict(self._machine.run(ops))
 
 
@@ -212,7 +185,7 @@ def solver_qc_decision_adversary(n: int, d: int, rounds: int):
     program = _banked(round_program(n, d), rounds)
 
     def adversary(caps: PersistentSchemeCaps, rng: np.random.Generator) -> InstanceKind:
-        caps.declare(program.layout)
+        caps.declare(program)
         outcomes = caps.run(program.ops)
         rows = [BitVector(outcomes[f"Q_{b}"], n) for b in range(rounds)]
         return decide_from_samples(rows, n, lambda x: caps.path(x).final)

@@ -168,8 +168,17 @@ def test_violating_adversary_aborts(tmp_path):
     )
     assert res.returncode == 3
     assert res.stdout == ""
-    assert "aborted:" in res.stderr
-    assert "violation" in res.stderr
+    assert res.stderr == "aborted: depth budget of 2 layers per circuit exceeded (1 violation(s) recorded)\n"
+
+
+def test_solver_error_aborts_with_one_line(capsys):
+    # one round at n=14 leaves 2^13 - 1 null-space candidates, over the cap
+    argv = ["adversary", "--kind", "decision", "--n", "14", "--d", "0", "--rounds", "1",
+            "--backend", "lazy", "--trials", "2"]
+    assert runner.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "aborted: 8191 null-space candidates exceed the cap of 4096; collect more rounds\n"
 
 
 def test_o2h_report_shape(tmp_path):

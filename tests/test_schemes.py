@@ -90,7 +90,24 @@ def test_qc_total_depth_budget():
     with pytest.raises(DepthViolation) as exc:
         schemes.run_d_qc(adversary, orc, schemes.SchemeBudget(depth=2), rng)
     assert exc.value.ledger.oracle_layers_total == 2
-    assert any("total depth" in v for v in exc.value.ledger.violations)
+    assert any("depth budget of 2 layers" in v for v in exc.value.ledger.violations)
+
+
+def test_qc_refuses_registers_the_declared_program_never_links():
+    # a program with no oracle op links nothing, so a core query from Q into
+    # N0 is refused before the layer is charged or any group written
+    rng = make_rng("qc-unlinked")
+    orc = oracle.sample_shuffling(simon.sample_simon(2, rng), 0, rng)
+    caps = schemes.PersistentSchemeCaps(orc, schemes.SchemeBudget(depth=3), rng)
+    caps.declare(qsim.CircuitProgram(solver.solver_layout(2, 0), ()))
+    caps.run([("uniform", "Q")])
+    before = list(caps._machine.states)
+    with pytest.raises(qsim.SimulatorError, match="'Q' and 'N0' are not linked by the program"):
+        caps.run([("oracle", ((0, "Q", "N0"),))])
+    assert caps.ledger.oracle_layers_total == 0
+    assert caps.ledger.core_evaluations == 0
+    assert len(caps._machine.states) == len(before)
+    assert all(a is b for a, b in zip(caps._machine.states, before))
 
 
 def test_qc_layout_and_init_guards():
@@ -98,9 +115,9 @@ def test_qc_layout_and_init_guards():
     orc = oracle.sample_shuffling(simon.sample_simon(2, rng), 0, rng)
 
     def declare_twice(caps, rng):
-        layout = solver.solver_layout(2, 0)
-        caps.declare(layout)
-        caps.declare(layout)
+        program = solver.round_program(2, 0)
+        caps.declare(program)
+        caps.declare(program)
 
     with pytest.raises(qsim.SimulatorError):
         schemes.run_d_qc(declare_twice, orc, schemes.SchemeBudget(depth=1), rng)
@@ -112,7 +129,7 @@ def test_qc_layout_and_init_guards():
         schemes.run_d_qc(op_before_declare, orc, schemes.SchemeBudget(depth=1), rng)
 
     def reinit(caps, rng):
-        caps.declare(solver.solver_layout(2, 0))
+        caps.declare(solver.round_program(2, 0))
         caps.run([("uniform", "Q")])
         caps.run([("uniform", "Q")])
 
@@ -124,7 +141,7 @@ def test_unknown_register_is_a_simulator_error():
     rng = make_rng("qc-unknown-register")
     orc = oracle.sample_shuffling(simon.sample_simon(2, rng), 0, rng)
     caps = schemes.PersistentSchemeCaps(orc, schemes.SchemeBudget(depth=1), rng)
-    caps.declare(solver.solver_layout(2, 0))
+    caps.declare(solver.round_program(2, 0))
     ops = [
         lambda: caps.run([("uniform", "X")]),
         lambda: caps.run([("hadamard", "X")]),
@@ -266,7 +283,7 @@ def test_full_measurement_collapses_qc_to_cq():
     qc_counts: dict[tuple, int] = {}
     for _ in range(trials):
         caps = schemes.PersistentSchemeCaps(orc, schemes.SchemeBudget(depth=3), rng)
-        caps.declare(layout)
+        caps.declare(solver.round_program(2, 1))
         first = caps.run(
             [("uniform", "Q"), ("oracle", ((0, "Q", "N0"),)), ("measure", "Q"), ("measure", "N0")]
         )

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from shufflesim import gf2, oracle, qsim, simon, solver
-from shufflesim.ledger import DepthLedger
+from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
 from shufflesim.oracle import BOT
 from shufflesim.simon import InstanceKind
 
@@ -232,6 +234,34 @@ def test_ledger_snapshot_is_independent():
     assert led.violations == ["first"]
     assert led.oracle_layers_total == 1 and led.oracle_layers_current_circuit == 1
     assert led.classical_queries == 0
+
+
+def test_ledger_refuses_charges_past_its_budget():
+    budget = SchemeBudget(depth=1, circuits=1, classical_queries=2)
+    led = DepthLedger(budget=budget)
+    led.record_circuit()
+    led.record_oracle_layer()
+    led.record_classical(1)
+    counters = led.snapshot()
+    for charge, message in (
+        (led.record_oracle_layer, "depth budget of 1 layers per circuit exceeded"),
+        (led.record_circuit, "circuit budget of 1 exceeded"),
+        (lambda: led.record_classical(2), "classical query budget of 2 exceeded"),
+    ):
+        with pytest.raises(DepthViolation) as exc:
+            charge()
+        assert str(exc.value) == message and exc.value.ledger is led
+        assert led.violations[-1] == message
+        assert replace(led, violations=counters.violations) == counters
+    assert len(led.violations) == 3
+
+    free = DepthLedger()
+    for _ in range(5):
+        free.record_circuit()
+        free.record_oracle_layer()
+        free.record_oracle_layer()
+        free.record_classical(1000)
+    assert free.violations == [] and free.circuits_invoked == 5
 
 
 def test_ledger_accumulates_across_rounds():
