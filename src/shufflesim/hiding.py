@@ -87,7 +87,7 @@ class ShadowOracle(ShufflingOracle):
     def __init__(self, base: ShufflingOracle, hidden: HiddenSets, l: int) -> None:
         if not 1 <= l <= base.d:
             raise ValueError(f"shadow round {l} outside 1..{base.d}")
-        super().__init__(base.instance, base.d, path_query_cost=base.path_query_cost)
+        super().__init__(base.instance, base.d)
         self.base = base
         self.hidden = hidden
         self.l = l
@@ -266,19 +266,13 @@ class MembershipReport:
 
 
 def estimate_membership(
-    oracle_sampler,
-    j: int,
-    l: int,
-    trials: int,
-    rng: np.random.Generator,
-    x: int = 0,
-    on_level_set: bool = False,
+    oracle_sampler, j: int, l: int, trials: int, rng: np.random.Generator
 ) -> MembershipReport:
-    """Monte Carlo estimate of Pr[x in S_j^(l) | x in S_j^(l-1)] over fresh
+    """Monte Carlo estimate of Pr[0 in S_j^(l) | 0 in S_j^(l-1)] over fresh
     oracle and hidden-set draws; the identity value is 2^-n.
 
-    With on_level_set=True the probe point is taken from the true level set
-    each draw, where containment makes membership certain.
+    The probe is the fixed point 0 of the full domain, chosen before any
+    draw. Raises ValueError when no draw lands 0 in the round-(l-1) superset.
     """
     parent_draws = 0
     hits = 0
@@ -287,16 +281,15 @@ def estimate_membership(
         oracle = oracle_sampler(rng)
         n = oracle.n
         hidden = sample_hidden_sets(oracle, rng)
-        probe = int(oracle.level_points(j)[0]) if on_level_set else x
-        if l > 1 and not hidden.contains(j, l - 1, probe):
+        if l > 1 and not hidden.contains(j, l - 1, 0):
             continue
         parent_draws += 1
-        if hidden.contains(j, l, probe):
+        if hidden.contains(j, l, 0):
             hits += 1
     if parent_draws == 0:
         raise ValueError("no draws satisfied the conditioning event; increase trials")
     estimate = hits / parent_draws
-    expected = 1.0 if on_level_set else 1.0 / (1 << n)
+    expected = 1.0 / (1 << n)
     sigma = float(np.sqrt(max(estimate * (1 - estimate), 1e-12) / parent_draws))
     return MembershipReport(
         level_j=j,

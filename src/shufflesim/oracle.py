@@ -137,13 +137,7 @@ def _draw_uniform(rng: np.random.Generator, size: int) -> int:
 class ShufflingOracle:
     """Shared query surface for both backends."""
 
-    def __init__(
-        self,
-        instance: SimonInstance,
-        d: int,
-        path_query_cost: int | None = None,
-        record_transcript: bool = False,
-    ) -> None:
+    def __init__(self, instance: SimonInstance, d: int, record_transcript: bool = False) -> None:
         if d < 0:
             raise ValueError(f"depth must be nonnegative, got {d}")
         self.instance = instance
@@ -151,7 +145,6 @@ class ShufflingOracle:
         self.d = d
         self.domain_bits = (d + 2) * instance.n
         self.domain_size = 1 << self.domain_bits
-        self.path_query_cost = path_query_cost if path_query_cost is not None else 1
         self.transcript: list[dict] | None = [] if record_transcript else None
 
     def value_bits(self, level: int) -> int:
@@ -212,7 +205,7 @@ class ShufflingOracle:
         if not 0 <= x0 < (1 << self.n):
             raise OracleError(f"path queries start in the embedded domain, got {x0}")
         if ledger is not None:
-            ledger.record_classical(self.path_query_cost)
+            ledger.record_classical()
         points = [x0]
         for level in range(self.d + 1):
             answer = self._answer(level, points[-1])
@@ -260,8 +253,8 @@ class MaterializedShufflingOracle(ShufflingOracle):
     """Backend with fully sampled permutation tables; domain capped to keep
     the tables in memory."""
 
-    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator, **kwargs) -> None:
-        super().__init__(instance, d, **kwargs)
+    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator, record_transcript=False) -> None:
+        super().__init__(instance, d, record_transcript)
         check_materialized_cap(self.domain_bits)
         size = self.domain_size
         self.tables = [rng.permutation(size).astype(np.int64) for _ in range(d)]
@@ -293,8 +286,8 @@ class MaterializedShufflingOracle(ShufflingOracle):
 class LazyShufflingOracle(ShufflingOracle):
     """Backend that reveals the injections on demand."""
 
-    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator, **kwargs) -> None:
-        super().__init__(instance, d, **kwargs)
+    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator, record_transcript=False) -> None:
+        super().__init__(instance, d, record_transcript)
         self._rng = rng
         self._levels = [IncrementalInjection(self.domain_size, rng) for _ in range(d)]
         # Deepest revealed chain point per root; roots default to (0, root).
@@ -465,13 +458,11 @@ def sample_shuffling(
     d: int,
     rng: np.random.Generator,
     backend: str = "materialized",
-    path_query_cost: int | None = None,
     record_transcript: bool = False,
 ) -> ShufflingOracle:
     """Sample a depth-d shuffling of the instance, choosing the backend."""
-    kwargs = {"path_query_cost": path_query_cost, "record_transcript": record_transcript}
     if backend == "materialized":
-        return MaterializedShufflingOracle(instance, d, rng, **kwargs)
+        return MaterializedShufflingOracle(instance, d, rng, record_transcript)
     if backend == "lazy":
-        return LazyShufflingOracle(instance, d, rng, **kwargs)
+        return LazyShufflingOracle(instance, d, rng, record_transcript)
     raise ValueError(f"unknown backend {backend!r}")

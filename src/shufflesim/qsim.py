@@ -413,13 +413,13 @@ def _sparse_dot(a: dict, b: dict) -> complex:
     return sum(np.conj(amp) * b[cfg] for cfg, amp in a.items() if cfg in b)
 
 
-def _joint_components(a: MixedEnsemble, b: MixedEnsemble, support_cap: int):
+def _joint_components(a: MixedEnsemble, b: MixedEnsemble):
     """The components' amplitude dicts, a's first, and one row of amplitudes
     per component over their sorted joint support (None past 2^24 entries).
     The cap guards the quadratic cost of the span solve."""
     vecs = [s.amps for _, s in a.components] + [s.amps for _, s in b.components]
-    if len(vecs) > support_cap:
-        raise SimulatorError(f"{len(vecs)} components exceed the cap of {support_cap}")
+    if len(vecs) > SUPPORT_CAP:
+        raise SimulatorError(f"{len(vecs)} components exceed the cap of {SUPPORT_CAP}")
     union = set().union(*vecs)
     if len(vecs) * len(union) > 1 << 24:
         return vecs, None
@@ -476,7 +476,7 @@ def _fidelity_once(a: MixedEnsemble, b: MixedEnsemble, ca: np.ndarray, cb: np.nd
     return float(sv.sum())
 
 
-def fidelity(a, b, support_cap: int = SUPPORT_CAP) -> float:
+def fidelity(a, b) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
     Averaged over both argument orders so the result is exactly symmetric;
@@ -489,7 +489,7 @@ def fidelity(a, b, support_cap: int = SUPPORT_CAP) -> float:
         # identical descriptions are the same density matrix; skipping the
         # solver keeps B(rho, rho) at exactly zero instead of sqrt(eps)
         return 1.0
-    vecs, dense = _joint_components(a, b, support_cap)
+    vecs, dense = _joint_components(a, b)
     ka, kb = len(a.components), len(b.components)
     swap = list(range(ka, ka + kb)) + list(range(ka))
     f_ab = _fidelity_once(a, b, *_span_coords(vecs, dense, ka))
@@ -500,7 +500,7 @@ def fidelity(a, b, support_cap: int = SUPPORT_CAP) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def bures_distance(a, b, support_cap: int = SUPPORT_CAP) -> float:
+def bures_distance(a, b) -> float:
     """B(rho, sigma) = sqrt(2 - 2 F); upper-bounds trace distance."""
-    f = fidelity(a, b, support_cap=support_cap)
+    f = fidelity(a, b)
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * f)))

@@ -357,14 +357,18 @@ def _cmd_o2h(args) -> None:
     l = args.l
     if not 1 <= l <= d:
         raise SystemExit(f"--l must be in 1..{d}")
+    for flag in ("samples", "resamples"):
+        if getattr(args, flag) < 1:
+            raise SystemExit(f"--{flag} must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
 
     def sampler(r):
         return sample_shuffling(sample_simon(n, r), d, r, backend="materialized")
 
-    membership = [
-        asdict(estimate_membership(sampler, j, l, args.trials, rng)) for j in range(l, d + 1)
-    ]
+    try:
+        membership = [asdict(estimate_membership(sampler, j, l, args.trials, rng)) for j in range(l, d + 1)]
+    except ValueError as exc:  # no draw met the membership conditioning event
+        raise SystemExit(f"aborted: {exc}") from None
 
     layout = solver_layout(n, d)
     state = init_uniform(layout, "Q")

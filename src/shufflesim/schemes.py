@@ -23,6 +23,8 @@ from .qsim import CircuitProgram
 from .simon import InstanceKind
 from .solver import decide_from_samples, round_program, solve_decision
 
+TRUNCATED_PROBES = 8
+
 
 class _CapsBase:
     def __init__(self, oracle: ShufflingOracle, budget: SchemeBudget, rng: np.random.Generator):
@@ -87,13 +89,12 @@ def run_d_qc(adversary, oracle: ShufflingOracle, budget: SchemeBudget, rng: np.r
 # -- reference adversaries -------------------------------------------------
 
 
-def _collision_probe(path_final, n: int, q: int, rng: np.random.Generator) -> int | None:
-    xs = rng.choice(1 << n, size=min(q, 1 << n), replace=False)
-    seen: dict[int, int] = {}
-    for x in xs:
-        x = int(x)
+def _collision_probe(path_final, n: int, q: int, rng: np.random.Generator, seen: dict[int, int]) -> int | None:
+    """Path-probe min(q, 2^n) distinct random inputs; the xor of the first two
+    inputs with equal finals, counting `seen` (final -> input), else None."""
+    for x in map(int, rng.choice(1 << n, size=min(q, 1 << n), replace=False)):
         final = path_final(x)
-        if final in seen:
+        if seen.get(final, x) != x:
             return seen[final] ^ x
         seen[final] = x
     return None
@@ -107,23 +108,21 @@ def classical_collision_adversary(
 ) -> int | None:
     """Search adversary with classical path queries only: probes q distinct
     inputs and returns the xor of any colliding pair, else None."""
-    return _collision_probe(lambda x: oracle.query_path(x, ledger).final, oracle.n, q, rng)
+    return _collision_probe(lambda x: oracle.query_path(x, ledger).final, oracle.n, q, rng, {})
 
 
 def truncated_quantum_adversary(
-    oracle: ShufflingOracle,
-    budget_depth: int,
-    rng: np.random.Generator,
-    probes: int = 8,
+    oracle: ShufflingOracle, budget_depth: int, rng: np.random.Generator
 ) -> tuple[InstanceKind, DepthLedger]:
     """Decision adversary limited to budget_depth oracle layers.
 
     Truncated to the oracle depth or less, its chase stops at the last
     injection layer: every observed value sits above an injective level, no
-    collision can exist, the classical probes stay below the core, and the
-    guess degrades to a fair coin. One extra layer lets the chase read the
-    core once, and path probes then decide by collision; a 2d+1 budget runs
-    the full decision procedure.
+    collision can exist, the TRUNCATED_PROBES classical point probes stay
+    below the core, and the guess degrades to a fair coin. One extra layer
+    lets the chase read the core once at a measured input Q; TRUNCATED_PROBES
+    path probes then decide Simon on any collision with each other or with Q.
+    A 2d+1 budget runs the full decision procedure.
     """
     n, d = oracle.n, oracle.d
     ledger = DepthLedger()
@@ -134,16 +133,14 @@ def truncated_quantum_adversary(
     prefix = CircuitProgram(chase.layout, chase.ops[: 1 + layers])
     observed = qsim.run_program(prefix.measure_all(), oracle, rng, ledger).outcomes
     if layers <= d:
-        for k in range(min(probes, 1 << oracle.domain_bits) if d else 0):
+        for k in range(min(TRUNCATED_PROBES, 1 << oracle.domain_bits) if d else 0):
             oracle.query_point(k % d, _draw_uniform(rng, oracle.domain_size), ledger)
         guess = InstanceKind.SIMON if rng.integers(2) == 0 else InstanceKind.ONE_TO_ONE
         return guess, ledger
-    finals = {oracle.decode_answer(d, observed[f"N{d}"]): observed["Q"]}
-    for x in map(int, rng.choice(1 << n, size=min(probes, 1 << n), replace=False)):
-        final = oracle.query_path(x, ledger).final
-        if final in finals and finals[final] != x:
-            return InstanceKind.SIMON, ledger
-        finals[final] = x
+    seen = {oracle.decode_answer(d, observed[f"N{d}"]): observed["Q"]}
+    path_final = lambda x: oracle.query_path(x, ledger).final
+    if _collision_probe(path_final, n, TRUNCATED_PROBES, rng, seen) is not None:
+        return InstanceKind.SIMON, ledger
     return InstanceKind.ONE_TO_ONE, ledger
 
 
@@ -196,7 +193,8 @@ def solver_qc_decision_adversary(n: int, d: int, rounds: int):
 # -- success estimation ----------------------------------------------------
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = 1.96  # 95% two-sided
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials

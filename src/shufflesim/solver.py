@@ -20,6 +20,8 @@ from .ledger import DepthLedger
 from .oracle import BOT, ShufflingOracle
 from .simon import InstanceKind
 
+CANDIDATE_CAP = 4096
+
 
 class SolverError(Exception):
     pass
@@ -77,20 +79,19 @@ def run_simon_round(
     )
 
 
-def decide_from_samples(
-    rows: list[BitVector], n: int, path_final, candidate_cap: int = 4096
-) -> InstanceKind:
+def decide_from_samples(rows: list[BitVector], n: int, path_final) -> InstanceKind:
     """Decide Simon versus one-to-one from Fourier samples. Full rank
     certifies one-to-one; otherwise each nonzero null-space vector v, cheapest
     first, is checked for path_final(v) == path_final(0), which is conclusive
-    for Simon since injective instances admit no such pair."""
+    for Simon since injective instances admit no such pair. Raises SolverError
+    when the null space holds more than CANDIDATE_CAP nonzero vectors."""
     basis = null_space_basis(BitMatrix(tuple(rows), n))
     if not basis:
         return InstanceKind.ONE_TO_ONE
-    if (1 << len(basis)) - 1 > candidate_cap:
+    if (1 << len(basis)) - 1 > CANDIDATE_CAP:
         raise SolverError(
             f"{(1 << len(basis)) - 1} null-space candidates exceed the cap of "
-            f"{candidate_cap}; collect more rounds"
+            f"{CANDIDATE_CAP}; collect more rounds"
         )
     span = {0}
     for b in basis:
@@ -141,11 +142,8 @@ def solve_decision(
     rounds: int,
     rng: np.random.Generator,
     ledger: DepthLedger | None = None,
-    candidate_cap: int = 4096,
 ) -> InstanceKind:
     """Decide Simon versus one-to-one from `rounds` solver rounds."""
     ledger = ledger if ledger is not None else DepthLedger()
     rows = [run_simon_round(oracle, rng, ledger).j for _ in range(rounds)]
-    return decide_from_samples(
-        rows, oracle.n, lambda x: oracle.query_path(x, ledger).final, candidate_cap
-    )
+    return decide_from_samples(rows, oracle.n, lambda x: oracle.query_path(x, ledger).final)

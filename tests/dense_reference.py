@@ -44,10 +44,10 @@ def dense_statevector(state, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
     return vec
 
 
-def trace_distance(a, b, support_cap: int = qsim.SUPPORT_CAP) -> float:
+def trace_distance(a, b) -> float:
     """Half the trace norm of rho - sigma."""
     a, b = qsim._as_ensemble(a), qsim._as_ensemble(b)
-    ca, cb = qsim._span_coords(*qsim._joint_components(a, b, support_cap), len(a.components))
+    ca, cb = qsim._span_coords(*qsim._joint_components(a, b), len(a.components))
     rho = qsim._density(ca, [p for p, _ in a.components])
     sigma = qsim._density(cb, [p for p, _ in b.components])
     w = np.linalg.eigvalsh(rho - sigma)

@@ -128,7 +128,6 @@ def test_lab_paths_never_build_level_frozensets(monkeypatch):
     assert hiding.check_hiding_bound(state, [(orc, hidden)], 1, [(1, "X", "A")]).all_hold
     assert hiding.check_find_bound(state, orc, [(1, "X", "A")], 1, rng, resamples=5).holds
     hiding.estimate_membership(sampler, 2, 1, trials=20, rng=rng)
-    assert hiding.estimate_membership(sampler, 2, 2, trials=20, rng=rng, on_level_set=True).hits == 20
 
 
 def test_hidden_set_keys_and_sizes():
@@ -309,11 +308,3 @@ def test_membership_density_conditional_round_two():
     assert rep.expected == pytest.approx(0.25)
     assert rep.within_3sigma
 
-
-def test_membership_certain_on_level_set():
-    rng = make_rng("member-on")
-    sampler = lambda r: oracle.sample_shuffling(simon.sample_simon(2, r), 1, r)
-    rep = hiding.estimate_membership(sampler, 1, 1, trials=50, rng=rng, on_level_set=True)
-    assert rep.hits == rep.parent_draws
-    assert rep.estimate == 1.0
-    assert rep.expected == 1.0

@@ -115,15 +115,6 @@ def test_ledger_counts_classical_and_core():
     assert led.core_evaluations == 2
 
 
-def test_path_query_cost_knob():
-    inst, _ = _oracle(2, 1, 12)
-    rng = make_rng("oracle", 12, "b")
-    o = sample_shuffling(inst, 1, rng, path_query_cost=3)
-    led = DepthLedger()
-    o.query_path(1, led)
-    assert led.classical_queries == 3
-
-
 def test_transcript_serializes():
     rng = make_rng("oracle", 13)
     inst = sample_simon(2, rng)

@@ -441,3 +441,26 @@ def test_gram_route_matches_dense_density():
 
         f_dense = float(np.linalg.svd(droot(rho) @ droot(sig), compute_uv=False).sum())
         assert qsim.fidelity(ens_a, ens_b) == pytest.approx(f_dense, abs=1e-9)
+
+
+def test_sparse_gram_route_matches_dense_route():
+    # past 2^24 matrix entries _joint_components returns no dense matrix and
+    # the Gram matrix comes from sparse dot products; both routes agree
+    layout = qsim.RegisterLayout.of(r=3, s=2)
+    rng = make_rng("sparse-gram")
+    pool = [random_state(layout, 1100 + i, support=int(rng.integers(1, 12))) for i in range(12)]
+    for _ in range(100):
+        ens = _random_ensemble(layout, rng, pool), _random_ensemble(layout, rng, pool)
+        for a, b in (ens, ens[::-1]):
+            vecs, dense = qsim._joint_components(a, b)
+            ka = len(a.components)
+            f_dense = qsim._fidelity_once(a, b, *qsim._span_coords(vecs, dense, ka))
+            f_sparse = qsim._fidelity_once(a, b, *qsim._span_coords(vecs, None, ka))
+            assert f_sparse == pytest.approx(f_dense, abs=1e-9)
+
+
+def test_component_cap_refuses_the_span_solve():
+    zero = qsim.basis_state(qsim.RegisterLayout.of(r=1))
+    many = qsim.MixedEnsemble(tuple((1.0 / 4097, zero) for _ in range(4097)))
+    with pytest.raises(qsim.SimulatorError, match="4098 components exceed the cap of 4096"):
+        qsim.bures_distance(many, zero)

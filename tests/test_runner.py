@@ -181,6 +181,14 @@ def test_solver_error_aborts_with_one_line(capsys):
     assert err == "aborted: 8191 null-space candidates exceed the cap of 4096; collect more rounds\n"
 
 
+def test_o2h_membership_miss_aborts_with_one_line(tmp_path):
+    # one l=2 trial whose draw leaves point 0 outside round 1's superset
+    res = _cli(["o2h", "--n", "2", "--d", "2", "--l", "2", "--trials", "1", "--seed", "0"], tmp_path)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "aborted: no draws satisfied the conditioning event; increase trials\n"
+
+
 def test_o2h_report_shape(tmp_path):
     res = _cli(
         ["o2h", "--n", "2", "--d", "2", "--l", "1", "--trials", "200",
@@ -273,18 +281,21 @@ def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
         (["solve", "--max-rounds", "-1"], "--max-rounds must be at least 0"),
         (["sweep", "--adversaries", ","], "--adversaries names no adversary kind"),
         (["sweep", "--adversaries", "oracle"], "unknown adversary kind 'oracle'"),
+        (["o2h", "--samples", "0"], "--samples must be at least 1"),
+        (["o2h", "--resamples", "-1"], "--resamples must be at least 1"),
     ],
     ids=[
         "materialized-cap", "zero-trials", "zero-n", "negative-d", "one-oversize-sweep-cell",
         "negative-q", "negative-budget", "zero-rounds", "negative-max-rounds", "no-adversaries",
-        "unknown-adversary",
+        "unknown-adversary", "zero-samples", "negative-resamples",
     ],
 )
 def test_unrunnable_inputs_exit_before_any_trial(argv, message, monkeypatch):
-    def no_trial(packed):
-        raise AssertionError(f"trial {packed} started")
+    def no_trial(*args, **kwargs):
+        raise AssertionError(f"trial or draw {args} started")
 
     monkeypatch.setattr(runner, "_run_trial", no_trial)
+    monkeypatch.setattr(runner, "sample_shuffling", no_trial)
     with pytest.raises(SystemExit) as exc:
         runner.main(argv)
     assert message in str(exc.value)

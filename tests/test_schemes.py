@@ -15,7 +15,7 @@ def cq_classical_adversary(q):
     adversary; byte-for-byte the same probe sequence given the same rng."""
 
     def adversary(caps, rng):
-        return schemes._collision_probe(lambda x: caps.path(x).final, caps.n, q, rng)
+        return schemes._collision_probe(lambda x: caps.path(x).final, caps.n, q, rng, {})
 
     return adversary
 
@@ -73,14 +73,14 @@ def test_classical_query_budget():
     with pytest.raises(DepthViolation):
         schemes.run_d_cq(greedy, orc, schemes.SchemeBudget(depth=1, classical_queries=3), rng)
 
-    # a path query spends its full cost at once
-    priced = oracle.sample_shuffling(simon.sample_simon(2, rng), 1, rng, path_query_cost=5)
-
-    def one_path(caps, rng):
+    # a path query costs one classical query; the refused second one moves nothing
+    def two_paths(caps, rng):
         caps.path(0)
+        caps.path(1)
 
-    with pytest.raises(DepthViolation):
-        schemes.run_d_cq(one_path, priced, schemes.SchemeBudget(depth=1, classical_queries=4), rng)
+    with pytest.raises(DepthViolation) as exc:
+        schemes.run_d_cq(two_paths, orc, schemes.SchemeBudget(depth=1, classical_queries=1), rng)
+    assert exc.value.ledger.classical_queries == 1
 
 
 def test_qc_total_depth_budget():
@@ -206,7 +206,7 @@ def test_truncated_core_read_plus_probes_decides():
     for _ in range(30):
         inst = simon.sample_decision_instance(3, rng)
         orc = oracle.sample_shuffling(inst, 2, rng)
-        got, led = schemes.truncated_quantum_adversary(orc, 3, rng, probes=8)
+        got, led = schemes.truncated_quantum_adversary(orc, 3, rng)
         assert got is inst.kind
         assert led.oracle_layers_total == 3
 

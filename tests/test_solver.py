@@ -215,11 +215,11 @@ def test_decision_zero_rounds_falls_back_to_exhaustion():
 
 
 def test_decision_candidate_cap():
+    # no rounds leave the whole null space at n=13: 2^13 - 1 candidates
     rng = make_rng("cap")
-    inst = simon.sample_simon(3, rng)
-    orc = oracle.sample_shuffling(inst, 0, rng)
-    with pytest.raises(solver.SolverError):
-        solver.solve_decision(orc, 0, rng, candidate_cap=3)
+    orc = oracle.sample_shuffling(simon.sample_simon(13, rng), 0, rng, backend="lazy")
+    with pytest.raises(solver.SolverError, match="8191 null-space candidates exceed the cap of 4096"):
+        solver.solve_decision(orc, 0, rng)
 
 
 def test_ledger_snapshot_is_independent():
