@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from shufflesim.oracle import (
     OracleError,
     sample_shuffling,
 )
-from shufflesim.simon import sample_one_to_one, sample_simon
+from shufflesim.simon import sample_decision_instance, sample_one_to_one, sample_simon
 
 
 def _oracle(n, d, seed, backend="materialized", **kw):
@@ -226,6 +227,45 @@ def test_lazy_weave_probe_detected():
     z = (y + 1) % 256
     with pytest.raises(OracleError):
         o.query_point(2, z)
+
+
+WHOLE_DOMAIN_DIGEST = "23000c3957755a39170b06d582a53fb2721ff4f7f24da4c7237b2313a994bdb3"
+
+
+def test_lazy_whole_domain_core_probes():
+    """Every level-d point probed in a seeded order at the tightest domains,
+    then every root chased: routing, refutations and the rejection loop of
+    `IncrementalInjection.reveal` all run, and the bytes are pinned."""
+    digest = hashlib.sha256()
+    for n, d in ((1, 1), (1, 2), (2, 1)):
+        for seed in range(300):
+            rng = make_rng("whole-domain", n, d, seed)
+            inst = sample_decision_instance(n, rng)
+            o = sample_shuffling(inst, d, rng, backend="lazy")
+            order = make_rng("whole-domain-order", n, d, seed).permutation(o.domain_size)
+            answers = [o.query_point(d, int(x)) for x in order]
+            assert sum(a is not BOT for a in answers) == 1 << n
+            finals = [o.query_path(x).final for x in range(1 << n)]
+            assert finals == [inst.value(x) for x in range(1 << n)]
+            digest.update(repr((answers, finals, o._rng.bit_generator.state)).encode())
+    assert digest.hexdigest() == WHOLE_DOMAIN_DIGEST
+
+
+def test_lazy_chains_avoid_a_refuted_mid_level_point():
+    # f_1 is probed off-chain at 5 and the core refutes f_1(5), so no chain
+    # may pass through 5 at level 1: the chase's f_0 draws must reject it
+    refuted = 0
+    for seed in range(300):
+        rng = make_rng("mid-level-ban", seed)
+        inst = sample_simon(1, rng)
+        o = sample_shuffling(inst, 2, rng, backend="lazy")
+        if o.query_point(2, o.query_point(1, 5)) is not BOT:
+            continue
+        refuted += 1
+        for x in range(2):
+            path = o.query_path(x)
+            assert path.points[1] != 5 and path.final == inst.value(x)
+    assert refuted > 200
 
 
 def test_lazy_one_to_one_paths():

@@ -251,11 +251,13 @@ _SWEEP = ["sweep", "--n", "2..3", "--d", "0..1", "--trials", "10", "--seed", "12
     [
         ("sweep_materialized.json", [*_SWEEP, "--backend", "materialized"]),
         ("sweep_lazy.json", [*_SWEEP, "--backend", "lazy"]),
+        # d >= 2: chains of several links, walked and routed by the lazy backend
+        ("sweep_lazy_deep.json", [*_SWEEP[:3], "--d", "2..3", *_SWEEP[5:], "--backend", "lazy"]),
         ("solve.json", ["solve", "--n", "3", "--d", "2", "--trials", "30", "--seed", "7"]),
         ("o2h.json", ["o2h", "--n", "2", "--d", "2", "--l", "1", "--trials", "300",
                       "--samples", "20", "--resamples", "50", "--seed", "5"]),
     ],
-    ids=["sweep-materialized", "sweep-lazy", "solve", "o2h"],
+    ids=["sweep-materialized", "sweep-lazy", "sweep-lazy-deep", "solve", "o2h"],
 )
 def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
     # golden files were written by an earlier build; any moved seeded output,
