@@ -11,13 +11,13 @@ keeps base and shadowed applications on one register layout.
 
 Both backends expose the same query surface and the same answer distribution
 on identical query sequences. The lazy backend reveals injections on demand
-and keeps every committed fact consistent: revealed pairs f_i(x) = y, chain
-prefixes chased from embedded roots, and membership refutations recorded when
-a core query off the revealed chains is answered bot. Query patterns whose
-exact conditional law would require reweighting against those refutations
-(off-chain reveals or interleaved mid-level probes after a refutation) raise
-OracleError instead of answering from a biased distribution; no supported
-algorithm produces them.
+and keeps every committed fact consistent: revealed pairs f_i(x) = y, from
+which the chain prefixes of embedded roots are read, and membership
+refutations recorded when a core query off the revealed chains is answered
+bot. Query patterns whose exact conditional law would require reweighting
+against those refutations (off-chain reveals or interleaved mid-level probes
+after a refutation) raise OracleError instead of answering from a biased
+distribution; no supported algorithm produces them.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ class IncrementalInjection:
             return self._fwd[x]
         if len(self._fwd) >= self.size:
             raise OracleError("injection exhausted")
+        # Ends a.s.: a completion of the committed facts maps x to an unused image that `reject` accepts.
         while True:
             y = _draw_uniform(self._rng, self.size)
             if y in self._rev:
@@ -197,9 +198,6 @@ class ShufflingOracle:
                 ledger.record_core(core_hits)
         return answers
 
-    def _encoded_answers(self, level: int, xs) -> list[int]:
-        return [self.encode_answer(level, self._answer(level, x)) for x in xs]
-
     def query_path(self, x0: int, ledger: DepthLedger | None = None) -> Path:
         """Chase the full chain from an embedded root to its instance value."""
         if not 0 <= x0 < (1 << self.n):
@@ -289,11 +287,9 @@ class LazyShufflingOracle(ShufflingOracle):
     def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator, record_transcript=False) -> None:
         super().__init__(instance, d, record_transcript)
         self._rng = rng
+        # The revealed pairs are the only record of the chains: a point lies
+        # on root r's chain iff revealed links lead from r to it.
         self._levels = [IncrementalInjection(self.domain_size, rng) for _ in range(d)]
-        # Deepest revealed chain point per root; roots default to (0, root).
-        self._frontier: dict[int, tuple[int, int]] = {}
-        # Chain membership of revealed points: (level, point) -> root.
-        self._chain_root: dict[tuple[int, int], int] = {}
         # Points committed to lie outside S_j, keyed by level j >= 1.
         self._banned: dict[int, set[int]] = {j: set() for j in range(1, d + 1)}
         # Core answers given in bulk, encoded; each is final, as its point is
@@ -318,13 +314,12 @@ class LazyShufflingOracle(ShufflingOracle):
                         self._core_given[x] = answers[i]
         return answers
 
-    def _frontier_of(self, root: int) -> tuple[int, int]:
-        return self._frontier.get(root, (0, root))
-
     def _root_at(self, level: int, point: int) -> int | None:
-        if level == 0:
-            return point if point < (1 << self.n) else None
-        return self._chain_root.get((level, point))
+        # The root whose chain passes through `point`, walking preimages back.
+        while level and self._levels[level - 1].is_image(point):
+            point = self._levels[level - 1].preimage(point)
+            level -= 1
+        return point if level == 0 and point < (1 << self.n) else None
 
     def _bans_active(self) -> bool:
         return any(self._banned[j] for j in self._banned)
@@ -345,10 +340,7 @@ class LazyShufflingOracle(ShufflingOracle):
                 "lazy backend's exact domain; use the materialized backend"
             )
         reject = (lambda y: self._closure_hits_ban(y, level + 1)) if on_chain else None
-        y = inj.reveal(x, reject=reject)
-        if on_chain:
-            self._extend_chains(level, x)
-        return y
+        return inj.reveal(x, reject=reject)
 
     def _closure_hits_ban(self, point: int, level: int) -> bool:
         # Follow already-revealed links forward; True if the walk meets a
@@ -360,19 +352,6 @@ class LazyShufflingOracle(ShufflingOracle):
                 return False
             point = self._levels[level].reveal(point)
             level += 1
-
-    def _extend_chains(self, level: int, x: int) -> None:
-        root = self._root_at(level, x)
-        if root is None:
-            return
-        lvl, pt = self._frontier_of(root)
-        if (lvl, pt) != (level, x):
-            return
-        while lvl < self.d and self._levels[lvl].known(pt):
-            pt = self._levels[lvl].reveal(pt)
-            lvl += 1
-            self._chain_root[(lvl, pt)] = root
-        self._frontier[root] = (lvl, pt)
 
     # -- core resolution ---------------------------------------------------
 
@@ -389,19 +368,23 @@ class LazyShufflingOracle(ShufflingOracle):
             point = self._levels[level - 1].preimage(point)
             level -= 1
         if level == 0:
-            if point < (1 << self.n):
-                self._extend_chains(0, point)
-                return self.instance.value(point)
-            return BOT
+            return self.instance.value(point) if point < (1 << self.n) else BOT
         self._check_unweaved(level)
-        open_roots = [r for r in range(1 << self.n) if self._frontier_of(r)[0] < level]
+        # Each root's chain point at `level`, None past its first unrevealed link.
+        reached = list(range(1 << self.n))
+        for t in range(level):
+            reached = self._levels[t].lookup(reached)
+        open_roots = [r for r, pt in enumerate(reached) if pt is None]
         taken = self._levels[level - 1].image_count()
         excluded = len(self._excluded_images(level))
         available = self.domain_size - taken - excluded
         if open_roots and self._rng.random() * available < len(open_roots):
             chosen = open_roots[int(self._rng.integers(len(open_roots)))]
-            self._route_root_through(chosen, level, point)
-            return self._chase_root_to_core(chosen)
+            # Route the chosen chain through `point`: fresh uniform links up
+            # to level-1, the forced link, then on to the core.
+            self._levels[level - 1].force(self._reveal_chain(chosen, level - 1), point)
+            self._reveal_chain(chosen, self.d)
+            return self.instance.value(chosen)
         self._banned[level].add(point)
         return BOT
 
@@ -433,24 +416,12 @@ class LazyShufflingOracle(ShufflingOracle):
                     out.add(pt)
         return out
 
-    def _route_root_through(self, root: int, level: int, point: int) -> None:
-        # Commit `root`'s chain to pass through `point` at `level`: fresh
-        # uniform intermediates up to level-1, then the forced final link.
-        lvl, pt = self._frontier_of(root)
-        while lvl < level - 1:
-            self._reveal(lvl, pt)
-            lvl, pt = self._frontier_of(root)
-        if lvl != level - 1:
-            raise OracleError("chain routing overshot its target level")
-        self._levels[level - 1].force(pt, point)
-        self._extend_chains(level - 1, pt)
-
-    def _chase_root_to_core(self, root: int) -> int:
-        lvl, pt = self._frontier_of(root)
-        while lvl < self.d:
-            self._reveal(lvl, pt)
-            lvl, pt = self._frontier_of(root)
-        return self.instance.value(root)
+    def _reveal_chain(self, root: int, level: int) -> int:
+        # `root`'s chain point at `level`, revealing its missing links in order.
+        point = root
+        for t in range(level):
+            point = self._reveal(t, point)
+        return point
 
 
 def sample_shuffling(

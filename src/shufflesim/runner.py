@@ -401,6 +401,8 @@ def _cmd_o2h(args) -> None:
 
 def _cmd_sample_oracle(args) -> None:
     _resolve_common(args, default_trials=1, n=3, d=1)
+    if args.paths < 0:
+        raise SystemExit("--paths must be at least 0")
     n, d = args.n[0], args.d[0]
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
     if args.kind == "simon":

@@ -285,11 +285,13 @@ def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
         (["sweep", "--adversaries", "oracle"], "unknown adversary kind 'oracle'"),
         (["o2h", "--samples", "0"], "--samples must be at least 1"),
         (["o2h", "--resamples", "-1"], "--resamples must be at least 1"),
+        (["sample-oracle", "--n", "2", "--d", "1", "--paths", "-3", "--backend", "lazy"],
+         "--paths must be at least 0"),
     ],
     ids=[
         "materialized-cap", "zero-trials", "zero-n", "negative-d", "one-oversize-sweep-cell",
         "negative-q", "negative-budget", "zero-rounds", "negative-max-rounds", "no-adversaries",
-        "unknown-adversary", "zero-samples", "negative-resamples",
+        "unknown-adversary", "zero-samples", "negative-resamples", "negative-paths",
     ],
 )
 def test_unrunnable_inputs_exit_before_any_trial(argv, message, monkeypatch):
