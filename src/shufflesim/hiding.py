@@ -119,17 +119,15 @@ def find_probability(
     """Probability that measuring the query inputs lands in a hidden set:
     the squared mass of configurations whose round-l-or-deeper query slots
     hold hidden points."""
-    layout = state.layout
-    mask = oracle.domain_size - 1
-    columns = list(zip(*state.amps))
     hit = np.zeros(len(state.amps), dtype=bool)
-    inputs: dict[int, np.ndarray] = {}
+    inputs: dict[str, np.ndarray] = {}
     for level, in_reg, _ in query_spec:
         if level >= l:
-            idx = layout.index(in_reg)
-            if idx not in inputs:
-                inputs[idx] = np.array([v & mask for v in columns[idx]], dtype=np.int64)
-            hit |= hidden.members(level, l, inputs[idx])
+            if in_reg not in inputs:
+                off, mask = state.layout.field(in_reg)
+                mask &= oracle.domain_size - 1
+                inputs[in_reg] = np.array([(key >> off) & mask for key in state.amps], dtype=np.int64)
+            hit |= hidden.members(level, l, inputs[in_reg])
     # abs() and a left-to-right loop in dict order, for the bits of a per-config loop
     total = 0.0
     for amp in compress(state.amps.values(), hit.tolist()):

@@ -86,6 +86,11 @@ class IncrementalInjection:
         """The revealed image of each point, None where still unrevealed."""
         return list(map(self._fwd.get, xs))
 
+    def preimages(self, ys) -> list[int | None]:
+        """The revealed preimage of each point, None where it has none (and
+        for a None entry)."""
+        return list(map(self._rev.get, ys))
+
     def reveal(self, x: int, reject=None) -> int:
         if not 0 <= x < self.size:
             raise OracleError(f"point {x} outside domain of size {self.size}")
@@ -103,6 +108,27 @@ class IncrementalInjection:
             break
         self.force(x, y)
         return y
+
+    def reveal_fresh(self, xs) -> list[int]:
+        """Reveal distinct unrevealed points in order, as `reveal` without a
+        reject callback would one after another, on sizes up to 2^62.
+
+        One `integers` call draws an image for every point still open; the
+        draws are accepted in order and one whose image is already used is
+        skipped, so the next point takes the next draw. numpy gives k batched
+        draws the values and generator state of k scalar draws, so the stream
+        is the per-point loop's. There are at least as many unused images as
+        unrevealed points, so each pass accepts one or more draws.
+        """
+        xs, out = list(xs), []
+        while len(out) < len(xs):
+            for y in self._rng.integers(self.size, size=len(xs) - len(out)).tolist():
+                if y not in self._rev:
+                    x = xs[len(out)]
+                    self._fwd[x] = y
+                    self._rev[y] = x
+                    out.append(y)
+        return out
 
     def force(self, x: int, y: int) -> None:
         # Commit a pair decided by an external conditional-sampling step.
@@ -186,7 +212,11 @@ class ShufflingOracle:
         oracle reads the points it has committed (revealed links, core answers
         given) and samples only fresh points, in the order of `xs` (ascending
         in a circuit layer); committed answers are final and draw nothing, so
-        the generator stream is that of answering each point in turn.
+        the generator stream is that of answering each point in turn. While no
+        refutation is active and the domain fits 2^62, it draws the fresh
+        level-<d images in batches (`IncrementalInjection.reveal_fresh`) and
+        answers fresh core points that walk back to a root from the instance
+        table, which keeps that stream and every answer.
         """
         self._check_level(level)
         for x in (min(xs), max(xs)) if len(xs) else ():
@@ -306,13 +336,38 @@ class LazyShufflingOracle(ShufflingOracle):
     def _encoded_answers(self, level: int, xs) -> list[int]:
         core = level == self.d
         answers = list(map(self._core_given.get, xs)) if core else self._levels[level].lookup(xs)
-        if None in answers:
+        if None not in answers:
+            return answers
+        if self._bans_active() or self.domain_size > 1 << 62:
             for i, x in enumerate(xs):
                 if answers[i] is None:
                     answers[i] = self.encode_answer(level, self._answer(level, x))
                     if core:
                         self._core_given[x] = answers[i]
-        return answers
+            return answers
+        # fresh points in first-seen order: a repeat reads what the first drew
+        fresh = list(dict.fromkeys(x for x, a in zip(xs, answers) if a is None))
+        if core:
+            given = self._fresh_core_answers(fresh)
+            self._core_given.update(given)
+        else:
+            given = dict(zip(fresh, self._levels[level].reveal_fresh(fresh)))
+        return [given[x] if a is None else a for x, a in zip(xs, answers)]
+
+    def _fresh_core_answers(self, points: list[int]) -> dict[int, int]:
+        # With no refutation active, a point whose revealed links walk back
+        # to a root has that root's value and draws nothing; the others are
+        # resolved in order. Resolving one never changes a walked point's
+        # answer: it only adds links and refutations off the revealed chains.
+        reached = points
+        for t in reversed(range(self.d)):
+            reached = self._levels[t].preimages(reached)
+        walked = {x: r for x, r in zip(points, reached) if r is not None and r < 1 << self.n}
+        given = dict(zip(walked, self.instance.table[list(walked.values())].tolist()))
+        for x in points:
+            if x not in given:
+                given[x] = self.encode_answer(self.d, self._resolve_core(x))
+        return given
 
     def _root_at(self, level: int, point: int) -> int | None:
         # The root whose chain passes through `point`, walking preimages back.
@@ -328,10 +383,9 @@ class LazyShufflingOracle(ShufflingOracle):
 
     def _reveal(self, level: int, x: int) -> int:
         inj = self._levels[level]
-        if inj.known(x):
+        if inj.known(x) or not self._bans_active():
             return inj.reveal(x)
-        on_chain = self._root_at(level, x) is not None
-        if not on_chain and self._bans_active():
+        if self._root_at(level, x) is None:
             # An off-chain reveal competes with refuted slots whose exact
             # conditional weights depend on every open chain; answering
             # uniformly here would skew the joint law.
@@ -339,8 +393,8 @@ class LazyShufflingOracle(ShufflingOracle):
                 "off-chain reveal after a membership refutation is outside the "
                 "lazy backend's exact domain; use the materialized backend"
             )
-        reject = (lambda y: self._closure_hits_ban(y, level + 1)) if on_chain else None
-        return inj.reveal(x, reject=reject)
+        # with refutations active, an on-chain image must not lead into one
+        return inj.reveal(x, reject=lambda y: self._closure_hits_ban(y, level + 1))
 
     def _closure_hits_ban(self, point: int, level: int) -> bool:
         # Follow already-revealed links forward; True if the walk meets a

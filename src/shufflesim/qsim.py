@@ -1,12 +1,15 @@
 """Sparse structured-state simulator, circuit programs, and distance measures.
 
 States live on a named register layout and are stored as dicts mapping
-register-value tuples to amplitudes; the solver's access pattern keeps the
-support polynomial, so no dense 2^W vector is ever built. Oracle answers are
-XORed into target registers (a basis permutation), Hadamard layers act on one
-register, and measurement collapses one register by the Born rule. A
-CircuitProgram lists such ops, and one Interpreter runs them, charging each
-oracle layer to the ledger, which enforces the run's budget.
+configs to amplitudes. A config is keyed by one int that packs the register
+values, register 0 in the most significant bits, so a register is read as
+`(key >> offset) & mask` and keys sort in the order of their value tuples.
+The solver's access pattern keeps the support polynomial, so no dense 2^W
+vector is ever built. Oracle answers are XORed into target registers (a basis
+permutation), Hadamard layers act on one register, and measurement collapses
+one register by the Born rule. A CircuitProgram lists such ops, and one
+Interpreter runs them, charging each oracle layer to the ledger, which
+enforces the run's budget.
 
 Ops build states from valid ones without the full config check. The Hadamard
 and measurement kernels add terms in a term-by-term loop's order and match it.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress
 
@@ -35,8 +39,9 @@ class SimulatorError(Exception):
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered named registers; register 0 occupies the least significant
-    bits of the packed dense index."""
+    """Ordered named registers. A config packs into one int key with register
+    0 in the most significant bits and the last register in the lowest, so
+    int order on keys is tuple order on configs."""
 
     names: tuple[str, ...]
     widths: tuple[int, ...]
@@ -67,28 +72,51 @@ class RegisterLayout:
     def total_width(self) -> int:
         return sum(self.widths)
 
+    @functools.cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Each register's lowest bit in the packed key."""
+        return tuple(sum(self.widths[i + 1 :]) for i in range(len(self.widths)))
+
+    def field(self, name: str) -> tuple[int, int]:
+        """A register's offset in the packed key and its value mask."""
+        idx = self.index(name)
+        return self.offsets[idx], (1 << self.widths[idx]) - 1
+
+    def pack(self, cfg) -> int:
+        """The key of an in-range config tuple."""
+        key = 0
+        for v, w in zip(cfg, self.widths):
+            key = key << w | operator.index(v)
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple((key >> off) & ((1 << w) - 1) for off, w in zip(self.offsets, self.widths))
+
 
 class SparseState:
-    """Normalized pure state over a layout, sparse in the computational basis."""
+    """Normalized pure state over a layout, sparse in the computational basis;
+    `amps` maps packed config keys (see RegisterLayout) to amplitudes."""
 
     __slots__ = ("layout", "amps")
 
     def __init__(self, layout: RegisterLayout, amps: dict[tuple[int, ...], complex]):
+        """From config tuples, which are checked against the layout, then packed."""
         self.layout = layout
-        self.amps = {cfg: complex(a) for cfg, a in amps.items() if abs(a) > PRUNE_TOL}
-        if set(map(len, self.amps)) - {len(layout.names)}:
-            cfg = next(c for c in self.amps if len(c) != len(layout.names))
+        amps = {cfg: complex(a) for cfg, a in amps.items() if abs(a) > PRUNE_TOL}
+        if set(map(len, amps)) - {len(layout.names)}:
+            cfg = next(c for c in amps if len(c) != len(layout.names))
             raise SimulatorError(f"config {cfg} does not match layout {layout.names}")
-        for i, (col, w) in enumerate(zip(zip(*self.amps), layout.widths)):
+        for i, (col, w) in enumerate(zip(zip(*amps), layout.widths)):
             if min(col) < 0 or max(col) >= 1 << w:
-                cfg = next(c for c in self.amps if not 0 <= c[i] < 1 << w)
+                cfg = next(c for c in amps if not 0 <= c[i] < 1 << w)
                 raise SimulatorError(f"config {cfg} out of range for widths {layout.widths}")
+        self.amps = dict(zip(map(layout.pack, amps), amps.values()))
         self._check_norm()
 
     @classmethod
     def _trusted(cls, layout: RegisterLayout, amps: dict, check_norm: bool = True) -> "SparseState":
-        """For amps an op built from a valid state (complex, above PRUNE_TOL,
-        in range), so at most the norm is checked."""
+        """For amps an op built from a valid state (packed in-range keys,
+        complex values above PRUNE_TOL), so at most the norm is checked."""
         state = object.__new__(cls)
         state.layout, state.amps = layout, amps
         if check_norm:
@@ -108,8 +136,8 @@ class SparseState:
         return len(self.amps)
 
     def register_values(self, name: str) -> set[int]:
-        idx = self.layout.index(name)
-        return {cfg[idx] for cfg in self.amps}
+        off, mask = self.layout.field(name)
+        return {(key >> off) & mask for key in self.amps}
 
 
 def basis_state(layout: RegisterLayout, values: dict[str, int] | None = None) -> SparseState:
@@ -126,15 +154,9 @@ def init_uniform(layout: RegisterLayout, register: str) -> SparseState:
 
 @functools.lru_cache(maxsize=32)
 def _uniform_state(layout: RegisterLayout, register: str) -> SparseState:
-    idx = layout.index(register)
-    w = layout.width(register)
-    amp = 2 ** (-w / 2)
-    zeros = [0] * len(layout.names)
-    amps = {}
-    for v in range(1 << w):
-        zeros[idx] = v
-        amps[tuple(zeros)] = amp
-    return SparseState(layout, amps)
+    off, mask = layout.field(register)
+    amp = complex(2 ** (-layout.width(register) / 2))
+    return SparseState._trusted(layout, {v << off: amp for v in range(mask + 1)})
 
 
 def _validate_query_spec(layout: RegisterLayout, oracle: ShufflingOracle, query_spec) -> list[tuple[int, int, int]]:
@@ -184,22 +206,23 @@ def apply_oracle_xor(
     bijection on configs and an involution. The ledger, if given, counts the
     core evaluations; the layer itself is counted by Interpreter.oracle_layer.
     """
-    resolved = _validate_query_spec(state.layout, oracle, query_spec)
-    mask = oracle.domain_size - 1
-    columns = list(zip(*state.amps))
-    out = columns.copy()
+    layout = state.layout
+    resolved = _validate_query_spec(layout, oracle, query_spec)
+    keys = list(state.amps)
     for level, i_idx, t_idx in resolved:
-        inputs = [v & mask for v in columns[i_idx]]
+        # no entry writes an input, so inputs read the same from updated keys
+        off, mask = layout.offsets[i_idx], (1 << min(layout.widths[i_idx], oracle.domain_bits)) - 1
+        inputs = [(key >> off) & mask for key in keys]
         values = sorted(set(inputs))
         answers = oracle.values_at(level, values, ledger=ledger)
-        if min(answers) < 0 or max(answers) >> state.layout.widths[t_idx]:
-            raise SimulatorError(f"level {level} answered outside register {state.layout.names[t_idx]!r}")
-        answer = dict(zip(values, answers))
-        out[t_idx] = [t ^ answer[v] for t, v in zip(columns[t_idx], inputs)]
-    amps = dict(zip(zip(*out), state.amps.values()))
+        if min(answers) < 0 or max(answers) >> layout.widths[t_idx]:
+            raise SimulatorError(f"level {level} answered outside register {layout.names[t_idx]!r}")
+        answer, t_off = dict(zip(values, answers)), layout.offsets[t_idx]
+        keys = [key ^ answer[v] << t_off for key, v in zip(keys, inputs)]
+    amps = dict(zip(keys, state.amps.values()))
     if len(amps) != len(state.amps):
         raise SimulatorError("oracle layer mapped two configs to one")
-    return SparseState._trusted(state.layout, amps, check_norm=False)
+    return SparseState._trusted(layout, amps, check_norm=False)
 
 
 @functools.lru_cache(maxsize=16)
@@ -218,10 +241,11 @@ def hadamard_register(state: SparseState, register: str) -> SparseState:
     agree off the register sums its 2^w outputs in one array row, members in
     input order (np.add.at is unbuffered); outputs are listed by first-seen
     group, then ascending j. Values and order are a term-by-term loop's."""
-    idx, w = state.layout.index(register), state.layout.width(register)
-    groups: dict[tuple, int] = {}
-    member_group = np.array([groups.setdefault(c[:idx] + c[idx + 1:], len(groups)) for c in state.amps])
-    values = np.array([c[idx] for c in state.amps])[:, None]
+    off, mask = state.layout.field(register)
+    w, rest = state.layout.width(register), ~(mask << off)
+    groups: dict[int, int] = {}
+    member_group = np.array([groups.setdefault(key & rest, len(groups)) for key in state.amps])
+    values = np.array([(key >> off) & mask for key in state.amps])[:, None]
     amps = np.array(list(state.amps.values()), dtype=complex)[:, None]
     row, acc = _hadamard_row(w), np.zeros((len(groups), 1 << w), dtype=complex)
     step = max(1, (1 << 16) >> w)  # bounds the members-by-outputs block of terms
@@ -232,7 +256,7 @@ def hadamard_register(state: SparseState, register: str) -> SparseState:
     rests, new_amps = list(groups), {}
     for g, j, a in zip(g_idx.tolist(), j_idx.tolist(), acc[g_idx, j_idx].tolist()):
         if abs(a) > PRUNE_TOL:
-            new_amps[rests[g][:idx] + (j,) + rests[g][idx:]] = a
+            new_amps[rests[g] | j << off] = a
     return SparseState._trusted(state.layout, new_amps)
 
 
@@ -246,8 +270,8 @@ def measure_register(
     np.bincount sums the marginal in dict order, over bins numbered by first
     appearance (np.unique would need values that fit 64 bits).
     """
-    idx, bin_of = state.layout.index(register), {}
-    bins = np.array([bin_of.setdefault(c[idx], len(bin_of)) for c in state.amps])
+    (off, mask), bin_of = state.layout.field(register), {}
+    bins = np.array([bin_of.setdefault((key >> off) & mask, len(bin_of)) for key in state.amps])
     marginal = np.bincount(bins, weights=[abs(a) ** 2 for a in state.amps.values()])
     outcomes = sorted(bin_of)
     probs = marginal[[bin_of[v] for v in outcomes]]

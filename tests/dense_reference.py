@@ -18,7 +18,8 @@ DENSE_WIDTH_CAP = 20
 
 
 def offset(layout, name: str) -> int:
-    """Bit offset of a register in the packed dense index (register 0 lowest)."""
+    """Bit offset of a register in the dense index (register 0 lowest, the
+    reverse of the sparse state's packed keys)."""
     return sum(layout.widths[: layout.index(name)])
 
 
@@ -26,7 +27,7 @@ def amplitude(state, values: dict) -> complex:
     """The amplitude of the config that gives every register its value."""
     if set(values) != set(state.layout.names):
         raise qsim.SimulatorError(f"amplitude lookup must name every register in {state.layout.names}")
-    return state.amps.get(tuple(values[name] for name in state.layout.names), 0j)
+    return state.amps.get(state.layout.pack(values[name] for name in state.layout.names), 0j)
 
 
 def dense_statevector(state, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
@@ -36,9 +37,9 @@ def dense_statevector(state, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
         raise qsim.SimulatorError(f"total width {w} exceeds the dense cap of {width_cap} bits")
     vec = np.zeros(1 << w, dtype=np.complex128)
     offsets = [offset(state.layout, name) for name in state.layout.names]
-    for cfg, amp in state.amps.items():
+    for key, amp in state.amps.items():
         idx = 0
-        for v, off in zip(cfg, offsets):
+        for v, off in zip(state.layout.unpack(key), offsets):
             idx |= v << off
         vec[idx] = amp
     return vec

@@ -55,7 +55,8 @@ def _loop_find_probability(state, orc, query_spec, sets, l):
     mask = orc.domain_size - 1
     slots = [(level, state.layout.index(in_reg)) for level, in_reg, _ in query_spec if level >= l]
     total = 0.0
-    for cfg, amp in state.amps.items():
+    for key, amp in state.amps.items():
+        cfg = state.layout.unpack(key)
         if any((cfg[idx] & mask) in sets[(level, l)] for level, idx in slots):
             total += abs(amp) ** 2
     return total

@@ -348,3 +348,101 @@ def test_bulk_refuses_out_of_domain_points(backend):
         for level in (0, 1):
             with pytest.raises(OracleError, match="outside the 6-bit domain"):
                 o.values_at(level, [0, 3, bad])
+
+
+# -- batch reveals (values_at with no refutation active) ---------------------
+
+
+@pytest.mark.parametrize("size", [1 << 3, 1 << 12, 1 << 40, 1 << 62, 3 << 20])
+def test_batched_draws_equal_scalar_draws(size):
+    # the batch reveal path rests on this numpy property; if an upgrade
+    # breaks it, this fails before any golden file does
+    for k in (1, 2, 7, 1000):
+        batch, scalar = make_rng("canary", size, k), make_rng("canary", size, k)
+        batch.integers(8), scalar.integers(8)  # leaves half a 64-bit word buffered
+        drawn = batch.integers(size, size=k).tolist()
+        assert drawn == [int(scalar.integers(size)) for _ in range(k)]
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+class _BatchCount:
+    """Wraps an injection's batch reveal and counts its calls and its draw
+    passes; more passes than calls means a draw was skipped and redrawn."""
+
+    def __init__(self, inj):
+        self.rng, self.reveal, self.calls, self.passes = inj._rng, inj.reveal_fresh, 0, 0
+        inj._rng, inj.reveal_fresh = self, self.reveal_fresh
+
+    def integers(self, high, size=None):
+        self.passes += size is not None
+        return self.rng.integers(high, size=size)
+
+    def reveal_fresh(self, xs):
+        self.calls += 1
+        return self.reveal(xs)
+
+
+def _twin_lazy(n, d, seed):
+    rng = make_rng("batch-twin", n, d, seed)
+    return sample_shuffling(sample_decision_instance(n, rng), d, rng, backend="lazy")
+
+
+def _answer_both(bulk, twin, level, xs):
+    got = bulk.values_at(level, xs)
+    assert got == _pointwise(twin, level, xs)
+    assert bulk._rng.bit_generator.state == twin._rng.bit_generator.state
+    return got
+
+
+def _chase_both(bulk, twin, roots):
+    xs = list(roots)
+    for level in range(bulk.d + 1):
+        xs = sorted(set(_answer_both(bulk, twin, level, xs)))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (1, 3), (2, 1)])
+def test_lazy_batch_reveals_match_pointwise_twin(n, d):
+    """A bulk oracle and its per-point twin agree on answers and generator
+    state after every layer of two query sequences: a chase of every root
+    (where some seeds redraw past an image already used), then the whole
+    core in one call; and a chase of the even roots, the whole core in one
+    call (walked points, routed chains and refutations together), then a
+    chase of every root."""
+    redraws = 0
+    for seed in range(300):
+        bulk, twin = _twin_lazy(n, d, seed), _twin_lazy(n, d, seed)
+        counts = [_BatchCount(inj) for inj in bulk._levels]
+        _chase_both(bulk, twin, range(1 << n))
+        redraws += any(c.passes > c.calls for c in counts)
+        _answer_both(bulk, twin, d, list(range(bulk.domain_size)))
+        bulk, twin = _twin_lazy(n, d, 1000 + seed), _twin_lazy(n, d, 1000 + seed)
+        _chase_both(bulk, twin, range(0, 1 << n, 2))
+        _answer_both(bulk, twin, d, list(range(bulk.domain_size)))
+        _chase_both(bulk, twin, range(1 << n))
+    assert redraws > 0
+
+
+def test_lazy_refutation_keeps_the_per_point_path():
+    for seed in range(40):
+        bulk, twin = _twin_lazy(2, 2, seed), _twin_lazy(2, 2, seed)
+        probe = bulk.domain_size - 1  # off every chain until a chase lands there
+        if bulk.query_point(2, probe) is not BOT:
+            continue
+        assert twin.query_point(2, probe) is BOT
+        for inj in bulk._levels:
+            inj.reveal_fresh = None  # a batch reveal would fail here
+        bulk._fresh_core_answers = None
+        xs = list(range(4))
+        for level in range(3):
+            xs = sorted(set(_answer_both(bulk, twin, level, xs)))
+        return
+    pytest.fail("no seed refuted the probe")
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_lazy_batch_answers_a_repeated_fresh_point_once(level):
+    bulk, twin = _twin_lazy(2, 1, 5), _twin_lazy(2, 1, 5)
+    xs = [3, 9, 3, 40, 9, 3]
+    got = _answer_both(bulk, twin, level, xs)
+    assert got[0] == got[2] == got[5] and got[1] == got[4]
+    assert _answer_both(bulk, twin, level, xs) == got  # committed: nothing drawn

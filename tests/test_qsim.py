@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_rng
 from dense_reference import DenseSim, amplitude, dense_statevector, offset, trace_distance
@@ -46,6 +47,29 @@ def test_layout_packing():
     assert offset(layout, "a") == 0 and offset(layout, "b") == 2
     with pytest.raises(qsim.SimulatorError):
         layout.index("c")
+
+
+@st.composite
+def _layout_and_configs(draw):
+    widths = draw(st.lists(st.integers(1, 70), min_size=1, max_size=6))
+    layout = qsim.RegisterLayout(tuple(f"r{i}" for i in range(len(widths))), tuple(widths))
+    values = st.tuples(*(st.integers(0, (1 << w) - 1) for w in widths))
+    return layout, draw(st.lists(values, min_size=1, max_size=12))
+
+
+@given(_layout_and_configs())
+def test_packed_keys_round_trip_in_tuple_order(case):
+    # _joint_components orders its columns by sorted keys, and with them
+    # every bit of tests/golden/o2h.json; that is tuple order
+    layout, configs = case
+    keys = [layout.pack(cfg) for cfg in configs]
+    assert [layout.unpack(key) for key in keys] == configs
+    assert sorted(keys) == [layout.pack(cfg) for cfg in sorted(configs)]
+    for name, off in zip(layout.names, layout.offsets):
+        assert layout.field(name) == (off, (1 << layout.width(name)) - 1)
+        assert [(key >> off) & ((1 << layout.width(name)) - 1) for key in keys] == [
+            cfg[layout.index(name)] for cfg in configs
+        ]
 
 
 def test_basis_and_uniform():
@@ -245,7 +269,8 @@ def _loop_hadamard(state, register):
     w = state.layout.width(register)
     scale = 2 ** (-w / 2)
     new_amps = {}
-    for cfg, amp in state.amps.items():
+    for key, amp in state.amps.items():
+        cfg = state.layout.unpack(key)
         base = list(cfg)
         for j in range(1 << w):
             sign = -1.0 if (cfg[idx] & j).bit_count() & 1 else 1.0
@@ -259,7 +284,8 @@ def _loop_measure(state, register, rng):
     """Measurement with a dict-summed marginal, the kernel's reference."""
     idx = state.layout.index(register)
     marginal = {}
-    for cfg, amp in state.amps.items():
+    for key, amp in state.amps.items():
+        cfg = state.layout.unpack(key)
         marginal[cfg[idx]] = marginal.get(cfg[idx], 0.0) + abs(amp) ** 2
     outcomes = sorted(marginal)
     probs = np.array([marginal[v] for v in outcomes])
@@ -267,7 +293,8 @@ def _loop_measure(state, register, rng):
     pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     outcome = outcomes[min(pick, len(outcomes) - 1)]
     scale = 1.0 / np.sqrt(marginal[outcome])
-    keep = {c: a * scale for c, a in state.amps.items() if c[idx] == outcome}
+    configs = map(state.layout.unpack, state.amps)
+    keep = {c: a * scale for c, a in zip(configs, state.amps.values()) if c[idx] == outcome}
     return outcome, qsim.SparseState(state.layout, keep)
 
 
