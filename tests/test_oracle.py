@@ -446,3 +446,68 @@ def test_lazy_batch_answers_a_repeated_fresh_point_once(level):
     got = _answer_both(bulk, twin, level, xs)
     assert got[0] == got[2] == got[5] and got[1] == got[4]
     assert _answer_both(bulk, twin, level, xs) == got  # committed: nothing drawn
+
+
+# -- seeded random query sequences -------------------------------------------
+
+
+def _random_queries(o, rng, ops):
+    """Answer seeded random queries on a lazy oracle, one per op code: 0 a
+    single point, 1 a path chase, 2 a bulk core probe with repeats, 3 a
+    chase of a subset of roots, 4 a bulk layer below the core with a repeat.
+    Returns the answers and the generator state after each query; the first
+    OracleError ends the run and its text is the last entry, so the draws of
+    a refused query are not recorded."""
+    roots = 1 << o.n
+    seen = list(range(roots))  # roots and answers: points worth probing again
+
+    def pick():
+        if rng.random() < 0.5:
+            return seen[int(rng.integers(len(seen)))]
+        return int.from_bytes(rng.bytes(16), "little") % o.domain_size
+
+    log = []
+    try:
+        for op in ops:
+            if op == 0:
+                got = [o.query_point(int(rng.integers(o.d + 1)), pick())]
+            elif op == 1:
+                got = list(o.query_path(int(rng.integers(roots))).points)
+            elif op == 2:
+                xs = [pick() for _ in range(int(rng.integers(1, 7)))]
+                got = o.values_at(o.d, xs + xs[: int(rng.integers(3))])
+            elif op == 3:
+                xs, got = [r for r in range(roots) if rng.random() < 0.5] or [0], []
+                for level in range(o.d + 1):
+                    xs = o.values_at(level, xs)
+                    got += xs
+                    xs = sorted(set(xs))
+            else:
+                xs = [pick() for _ in range(int(rng.integers(1, 7)))]
+                got = o.values_at(int(rng.integers(max(o.d, 1))), xs + xs[:1])
+            log.append((op, got, o._rng.bit_generator.state))
+            seen += [y for y in got if y is not BOT and y < o.domain_size]
+    except OracleError as exc:
+        log.append(str(exc))
+    return log
+
+
+RANDOM_SEQUENCE_DIGEST = "3797587eedee047c68bd0e9ece920618854ce95cfc1a71b774c706f169520569"
+
+
+def test_lazy_random_query_sequences_digest():
+    """Seeded random query sequences on lazy oracles at the tightest domains,
+    then at 65- and 70-bit domains (wider than one 2^62 draw): answers,
+    refusal texts and generator states are pinned."""
+    digest = hashlib.sha256()
+    tight = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (2, 3)]
+    cases = [(n, d, seed) for n, d in tight for seed in range(200)]
+    cases += [(n, d, seed) for n, d in ((13, 3), (5, 12)) for seed in range(4)]
+    for n, d, seed in cases:
+        rng = make_rng("random-sequence", n, d, seed)
+        o = sample_shuffling(sample_decision_instance(n, rng), d, rng, backend="lazy")
+        ops_rng = make_rng("random-sequence-ops", n, d, seed)
+        # wide domains: chases, then core probes that refute, then chases past the refutations
+        ops = ops_rng.integers(5, size=12).tolist() if o.domain_bits <= 62 else (3, 1, 2, 3, 2, 1, 4, 0)
+        digest.update(repr((n, d, seed, _random_queries(o, ops_rng, ops))).encode())
+    assert digest.hexdigest() == RANDOM_SEQUENCE_DIGEST
