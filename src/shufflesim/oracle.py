@@ -64,7 +64,7 @@ class Path:
 
 
 class IncrementalInjection:
-    """Uniform random injection on [0, size), revealed point by point.
+    """Uniform random injection on [0, size), revealed on demand.
 
     Unrevealed images are drawn uniformly from the unused codomain (rejection
     sampling, exact), so any reveal order yields the distribution of a
@@ -79,8 +79,11 @@ class IncrementalInjection:
         self._fwd: dict[int, int] = {}
         self._rev: dict[int, int] = {}
 
-    def known(self, x: int) -> bool:
-        return x in self._fwd
+    def image(self, x: int) -> int | None:
+        return self._fwd.get(x)
+
+    def preimage(self, y: int) -> int | None:
+        return self._rev.get(y)
 
     def lookup(self, xs) -> list[int | None]:
         """The revealed image of each point, None where still unrevealed."""
@@ -91,39 +94,30 @@ class IncrementalInjection:
         for a None entry)."""
         return list(map(self._rev.get, ys))
 
-    def reveal(self, x: int, reject=None) -> int:
-        if not 0 <= x < self.size:
-            raise OracleError(f"point {x} outside domain of size {self.size}")
-        if x in self._fwd:
-            return self._fwd[x]
-        if len(self._fwd) >= self.size:
-            raise OracleError("injection exhausted")
-        # Ends a.s.: a completion of the committed facts maps x to an unused image that `reject` accepts.
-        while True:
-            y = _draw_uniform(self._rng, self.size)
-            if y in self._rev:
-                continue
-            if reject is not None and reject(y):
-                continue
-            break
-        self.force(x, y)
-        return y
+    def reveal(self, xs: list[int], reject=None) -> list[int]:
+        """Reveal distinct unrevealed points in order; each image is uniform
+        over the unused images that `reject` (if given) does not refuse.
 
-    def reveal_fresh(self, xs) -> list[int]:
-        """Reveal distinct unrevealed points in order, as `reveal` without a
-        reject callback would one after another, on sizes up to 2^62.
-
-        One `integers` call draws an image for every point still open; the
-        draws are accepted in order and one whose image is already used is
-        skipped, so the next point takes the next draw. numpy gives k batched
-        draws the values and generator state of k scalar draws, so the stream
-        is the per-point loop's. There are at least as many unused images as
-        unrevealed points, so each pass accepts one or more draws.
+        Each pass draws one image for every point still open: one `integers`
+        call for several points on sizes up to 2^62, else one `_draw_uniform`
+        per point (a scalar draw, three times cheaper than a batch of one).
+        The draws are accepted in order; one whose image is used or refused
+        is skipped, so the open point takes the next draw. numpy gives k
+        batched draws the values and generator state of k scalar draws, so
+        the stream is that of revealing the points one after another, one
+        draw at a time. Ends a.s.: a completion of the committed facts maps
+        every open point to an unused image that `reject` accepts, so every
+        draw is accepted with positive probability.
         """
-        xs, out = list(xs), []
+        out = []
         while len(out) < len(xs):
-            for y in self._rng.integers(self.size, size=len(xs) - len(out)).tolist():
-                if y not in self._rev:
+            k = len(xs) - len(out)
+            if k > 1 and self.size <= 1 << 62:
+                ys = self._rng.integers(self.size, size=k).tolist()
+            else:
+                ys = [_draw_uniform(self._rng, self.size) for _ in range(k)]
+            for y in ys:
+                if y not in self._rev and (reject is None or not reject(y)):
                     x = xs[len(out)]
                     self._fwd[x] = y
                     self._rev[y] = x
@@ -136,12 +130,6 @@ class IncrementalInjection:
             raise OracleError("pair conflicts with revealed injection state")
         self._fwd[x] = y
         self._rev[y] = x
-
-    def is_image(self, y: int) -> bool:
-        return y in self._rev
-
-    def preimage(self, y: int) -> int:
-        return self._rev[y]
 
     def image_count(self) -> int:
         return len(self._rev)
@@ -212,11 +200,12 @@ class ShufflingOracle:
         oracle reads the points it has committed (revealed links, core answers
         given) and samples only fresh points, in the order of `xs` (ascending
         in a circuit layer); committed answers are final and draw nothing, so
-        the generator stream is that of answering each point in turn. While no
-        refutation is active and the domain fits 2^62, it draws the fresh
-        level-<d images in batches (`IncrementalInjection.reveal_fresh`) and
-        answers fresh core points that walk back to a root from the instance
-        table, which keeps that stream and every answer.
+        the generator stream is that of answering each point in turn. It
+        draws a layer's fresh level-<d images in one batch
+        (`IncrementalInjection.reveal`), refusing the whole layer before any
+        draw if a refutation makes one point's reveal inexact, and answers
+        fresh core points that walk back to a root from the instance table,
+        which keeps that stream and every answer.
         """
         self._check_level(level)
         for x in (min(xs), max(xs)) if len(xs) else ():
@@ -320,7 +309,9 @@ class LazyShufflingOracle(ShufflingOracle):
         # The revealed pairs are the only record of the chains: a point lies
         # on root r's chain iff revealed links lead from r to it.
         self._levels = [IncrementalInjection(self.domain_size, rng) for _ in range(d)]
-        # Points committed to lie outside S_j, keyed by level j >= 1.
+        # Points committed to lie outside S_j, keyed by level j >= 1. A
+        # refuted point is where a walk back stopped, so it has no preimage,
+        # and reveals refuse it as an image, so it never gains one.
         self._banned: dict[int, set[int]] = {j: set() for j in range(1, d + 1)}
         # Core answers given in bulk, encoded; each is final, as its point is
         # then chained, banned, or walks back to a fixed level-0 point.
@@ -329,21 +320,15 @@ class LazyShufflingOracle(ShufflingOracle):
     # -- shared plumbing ---------------------------------------------------
 
     def _answer(self, level: int, x: int):
-        if level < self.d:
-            return self._reveal(level, x)
-        return self._resolve_core(x)
+        if level == self.d:
+            return self._resolve_core(x)
+        y = self._levels[level].image(x)
+        return self._reveal(level, [x])[0] if y is None else y
 
     def _encoded_answers(self, level: int, xs) -> list[int]:
         core = level == self.d
         answers = list(map(self._core_given.get, xs)) if core else self._levels[level].lookup(xs)
         if None not in answers:
-            return answers
-        if self._bans_active() or self.domain_size > 1 << 62:
-            for i, x in enumerate(xs):
-                if answers[i] is None:
-                    answers[i] = self.encode_answer(level, self._answer(level, x))
-                    if core:
-                        self._core_given[x] = answers[i]
             return answers
         # fresh points in first-seen order: a repeat reads what the first drew
         fresh = list(dict.fromkeys(x for x, a in zip(xs, answers) if a is None))
@@ -351,14 +336,15 @@ class LazyShufflingOracle(ShufflingOracle):
             given = self._fresh_core_answers(fresh)
             self._core_given.update(given)
         else:
-            given = dict(zip(fresh, self._levels[level].reveal_fresh(fresh)))
+            given = dict(zip(fresh, self._reveal(level, fresh)))
         return [given[x] if a is None else a for x, a in zip(xs, answers)]
 
     def _fresh_core_answers(self, points: list[int]) -> dict[int, int]:
-        # With no refutation active, a point whose revealed links walk back
-        # to a root has that root's value and draws nothing; the others are
-        # resolved in order. Resolving one never changes a walked point's
-        # answer: it only adds links and refutations off the revealed chains.
+        # A point whose revealed links walk back to a root has that root's
+        # value and draws nothing (a refuted point never gains a preimage, so
+        # no such walk meets one); the others are resolved in order.
+        # Resolving one never changes a walked point's answer: it only adds
+        # links and refutations off the revealed chains.
         reached = points
         for t in reversed(range(self.d)):
             reached = self._levels[t].preimages(reached)
@@ -369,11 +355,19 @@ class LazyShufflingOracle(ShufflingOracle):
                 given[x] = self.encode_answer(self.d, self._resolve_core(x))
         return given
 
+    def _walk_back(self, level: int, point: int) -> tuple[int, int]:
+        # Follow revealed links back from `point` at `level` to level 0 or to
+        # a point with no revealed preimage, and return where the walk stops.
+        while level:
+            prev = self._levels[level - 1].preimage(point)
+            if prev is None:
+                break
+            point, level = prev, level - 1
+        return level, point
+
     def _root_at(self, level: int, point: int) -> int | None:
-        # The root whose chain passes through `point`, walking preimages back.
-        while level and self._levels[level - 1].is_image(point):
-            point = self._levels[level - 1].preimage(point)
-            level -= 1
+        # The root whose chain passes through `point`.
+        level, point = self._walk_back(level, point)
         return point if level == 0 and point < (1 << self.n) else None
 
     def _bans_active(self) -> bool:
@@ -381,11 +375,15 @@ class LazyShufflingOracle(ShufflingOracle):
 
     # -- forward reveals ---------------------------------------------------
 
-    def _reveal(self, level: int, x: int) -> int:
+    def _reveal(self, level: int, xs: list[int]) -> list[int]:
+        # Reveal distinct unrevealed level-`level` points, all or none. The
+        # off-chain test reads lower levels and the reject callback the next
+        # level's refutations, so drawing a level's images in one batch keeps
+        # the stream.
         inj = self._levels[level]
-        if inj.known(x) or not self._bans_active():
-            return inj.reveal(x)
-        if self._root_at(level, x) is None:
+        if not self._bans_active():
+            return inj.reveal(xs)
+        if any(self._root_at(level, x) is None for x in xs):
             # An off-chain reveal competes with refuted slots whose exact
             # conditional weights depend on every open chain; answering
             # uniformly here would skew the joint law.
@@ -393,45 +391,30 @@ class LazyShufflingOracle(ShufflingOracle):
                 "off-chain reveal after a membership refutation is outside the "
                 "lazy backend's exact domain; use the materialized backend"
             )
-        # with refutations active, an on-chain image must not lead into one
-        return inj.reveal(x, reject=lambda y: self._closure_hits_ban(y, level + 1))
-
-    def _closure_hits_ban(self, point: int, level: int) -> bool:
-        # Follow already-revealed links forward; True if the walk meets a
-        # membership refutation, making `point` unusable as a chain point.
-        while True:
-            if 1 <= level <= self.d and point in self._banned[level]:
-                return True
-            if level >= self.d or not self._levels[level].known(point):
-                return False
-            point = self._levels[level].reveal(point)
-            level += 1
+        # with refutations active, an on-chain image must not be refuted; a
+        # refuted point has no preimage, so none lies further along its links
+        return inj.reveal(xs, reject=self._banned[level + 1].__contains__)
 
     # -- core resolution ---------------------------------------------------
 
     def _resolve_core(self, x: int):
         # Walk back through revealed links. The walk ends at level 0 (exact
-        # answer), at a refuted point (bot), or at an unrevealed link, where
-        # membership is sampled at its exact conditional probability.
-        level, point = self.d, x
-        while True:
-            if level >= 1 and point in self._banned[level]:
-                return BOT
-            if level == 0 or not self._levels[level - 1].is_image(point):
-                break
-            point = self._levels[level - 1].preimage(point)
-            level -= 1
+        # answer), at a refuted point (bot; only where it stops, as a refuted
+        # point has no preimage), or at an unrevealed link, where membership
+        # is sampled at its exact conditional probability.
+        level, point = self._walk_back(self.d, x)
         if level == 0:
             return self.instance.value(point) if point < (1 << self.n) else BOT
+        if point in self._banned[level]:
+            return BOT
         self._check_unweaved(level)
         # Each root's chain point at `level`, None past its first unrevealed link.
         reached = list(range(1 << self.n))
         for t in range(level):
             reached = self._levels[t].lookup(reached)
         open_roots = [r for r, pt in enumerate(reached) if pt is None]
-        taken = self._levels[level - 1].image_count()
-        excluded = len(self._excluded_images(level))
-        available = self.domain_size - taken - excluded
+        # open chains land on an unused image that is not refuted
+        available = self.domain_size - self._levels[level - 1].image_count() - len(self._banned[level])
         if open_roots and self._rng.random() * available < len(open_roots):
             chosen = open_roots[int(self._rng.integers(len(open_roots)))]
             # Route the chosen chain through `point`: fresh uniform links up
@@ -448,33 +431,17 @@ class LazyShufflingOracle(ShufflingOracle):
         # holds only while no unrevealed prefix can merge into a mid-level
         # revealed link. Stray probes at non-image points break that.
         for t in range(1, level):
-            below = self._levels[t - 1]
-            for y in self._levels[t].revealed_sources():
-                if not below.is_image(y):
-                    raise OracleError(
-                        "core membership at this point is entangled with "
-                        "mid-level probe reveals; use the materialized backend"
-                    )
-
-    def _excluded_images(self, level: int) -> set[int]:
-        # Unused level-(level-1) images that revealed links connect to a
-        # refuted point at or above `level`; open chains cannot land there.
-        out = set()
-        for t in range(level, self.d + 1):
-            for b in self._banned[t]:
-                pt, lvl = b, t
-                while lvl > level and self._levels[lvl - 1].is_image(pt):
-                    pt = self._levels[lvl - 1].preimage(pt)
-                    lvl -= 1
-                if lvl == level and not self._levels[level - 1].is_image(pt):
-                    out.add(pt)
-        return out
+            if None in self._levels[t - 1].preimages(self._levels[t].revealed_sources()):
+                raise OracleError(
+                    "core membership at this point is entangled with "
+                    "mid-level probe reveals; use the materialized backend"
+                )
 
     def _reveal_chain(self, root: int, level: int) -> int:
         # `root`'s chain point at `level`, revealing its missing links in order.
         point = root
         for t in range(level):
-            point = self._reveal(t, point)
+            point = self._answer(t, point)
         return point
 
 

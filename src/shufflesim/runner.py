@@ -190,7 +190,9 @@ def _run_trial(packed):
 def run_cells(cells, trials: int, seed: int, jobs: int = 1, timing: bool = False) -> list[ResultRecord]:
     records = []
     # one pool for the whole run, but mapped cell by cell, so a row's seconds
-    # times that cell alone
+    # times that cell alone; a forked pool starts all its workers at once, so
+    # it gets no more than one per trial
+    jobs = min(jobs, trials)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for cell_idx, cell in enumerate(cells):
             start = time.perf_counter()

@@ -143,20 +143,20 @@ def test_domain_guards():
 
 def test_injection_single_point():
     inj = IncrementalInjection(1, make_rng("inj", 0))
-    assert inj.reveal(0) == 0
+    assert inj.reveal([0]) == [0]
 
 
 def test_injection_first_reveal_uniform():
     counts = np.zeros(8, dtype=int)
     for t in range(10_000):
-        counts[IncrementalInjection(8, make_rng("inj", 1, t)).reveal(3)] += 1
+        counts[IncrementalInjection(8, make_rng("inj", 1, t)).reveal([3])[0]] += 1
     chi2 = float(np.sum((counts - 1250.0) ** 2 / 1250.0))
     assert chi2 < 7 + 4 * np.sqrt(14)  # df = 7
 
 
 def test_injection_completes_to_permutation():
     inj = IncrementalInjection(8, make_rng("inj", 2))
-    images = [inj.reveal(x) for x in range(8)]
+    images = inj.reveal(list(range(8)))
     assert sorted(images) == list(range(8))
 
 
@@ -350,7 +350,7 @@ def test_bulk_refuses_out_of_domain_points(backend):
                 o.values_at(level, [0, 3, bad])
 
 
-# -- batch reveals (values_at with no refutation active) ---------------------
+# -- batch reveals (values_at) -----------------------------------------------
 
 
 @pytest.mark.parametrize("size", [1 << 3, 1 << 12, 1 << 40, 1 << 62, 3 << 20])
@@ -366,25 +366,54 @@ def test_batched_draws_equal_scalar_draws(size):
 
 
 class _BatchCount:
-    """Wraps an injection's batch reveal and counts its calls and its draw
-    passes; more passes than calls means a draw was skipped and redrawn."""
+    """Wraps an injection's reveal and counts its calls, its draw passes and
+    its calls that reveal several points under a reject callback; more passes
+    than calls means a draw was skipped and redrawn."""
 
     def __init__(self, inj):
-        self.rng, self.reveal, self.calls, self.passes = inj._rng, inj.reveal_fresh, 0, 0
-        inj._rng, inj.reveal_fresh = self, self.reveal_fresh
+        self.rng, self.reveal, self.calls, self.passes, self.guarded = inj._rng, inj.reveal, 0, 0, 0
+        inj._rng, inj.reveal = self, self.counted_reveal
 
     def integers(self, high, size=None):
-        self.passes += size is not None
+        self.passes += 1
         return self.rng.integers(high, size=size)
 
-    def reveal_fresh(self, xs):
+    def counted_reveal(self, xs, reject=None):
         self.calls += 1
-        return self.reveal(xs)
+        self.guarded += reject is not None and len(xs) > 1
+        return self.reveal(xs, reject)
+
+
+def _reveal_point_by_point(inj):
+    """Give an injection a reveal that draws one scalar image at a time for
+    one point at a time, skipping a used or refused image: the reference the
+    batched `IncrementalInjection.reveal` must reproduce draw for draw."""
+
+    def reveal(xs, reject=None):
+        out = []
+        for x in xs:
+            y = int(inj._rng.integers(inj.size))
+            while y in inj._rev or (reject is not None and reject(y)):
+                y = int(inj._rng.integers(inj.size))
+            inj.force(x, y)
+            out.append(y)
+        return out
+
+    inj.reveal = reveal
 
 
 def _twin_lazy(n, d, seed):
-    rng = make_rng("batch-twin", n, d, seed)
-    return sample_shuffling(sample_decision_instance(n, rng), d, rng, backend="lazy")
+    """Two lazy oracles from one seed: one to answer in bulk, and a twin
+    whose injections reveal point by point."""
+
+    def lazy():
+        rng = make_rng("batch-twin", n, d, seed)
+        return sample_shuffling(sample_decision_instance(n, rng), d, rng, backend="lazy")
+
+    bulk, twin = lazy(), lazy()
+    for inj in twin._levels:
+        _reveal_point_by_point(inj)
+    return bulk, twin
 
 
 def _answer_both(bulk, twin, level, xs):
@@ -410,38 +439,51 @@ def test_lazy_batch_reveals_match_pointwise_twin(n, d):
     chase of every root."""
     redraws = 0
     for seed in range(300):
-        bulk, twin = _twin_lazy(n, d, seed), _twin_lazy(n, d, seed)
+        bulk, twin = _twin_lazy(n, d, seed)
         counts = [_BatchCount(inj) for inj in bulk._levels]
         _chase_both(bulk, twin, range(1 << n))
         redraws += any(c.passes > c.calls for c in counts)
         _answer_both(bulk, twin, d, list(range(bulk.domain_size)))
-        bulk, twin = _twin_lazy(n, d, 1000 + seed), _twin_lazy(n, d, 1000 + seed)
+        bulk, twin = _twin_lazy(n, d, 1000 + seed)
         _chase_both(bulk, twin, range(0, 1 << n, 2))
         _answer_both(bulk, twin, d, list(range(bulk.domain_size)))
         _chase_both(bulk, twin, range(1 << n))
     assert redraws > 0
 
 
-def test_lazy_refutation_keeps_the_per_point_path():
+def test_lazy_refutation_active_chase_matches_pointwise_twin():
+    # a chase after a core refutation reveals each layer in one batch under
+    # the reject callback, and still draws what the per-point twin draws
+    refuted = guarded = 0
     for seed in range(40):
-        bulk, twin = _twin_lazy(2, 2, seed), _twin_lazy(2, 2, seed)
+        bulk, twin = _twin_lazy(2, 2, seed)
         probe = bulk.domain_size - 1  # off every chain until a chase lands there
         if bulk.query_point(2, probe) is not BOT:
             continue
         assert twin.query_point(2, probe) is BOT
-        for inj in bulk._levels:
-            inj.reveal_fresh = None  # a batch reveal would fail here
-        bulk._fresh_core_answers = None
-        xs = list(range(4))
-        for level in range(3):
-            xs = sorted(set(_answer_both(bulk, twin, level, xs)))
-        return
-    pytest.fail("no seed refuted the probe")
+        refuted += 1
+        counts = [_BatchCount(inj) for inj in bulk._levels]
+        _chase_both(bulk, twin, range(4))
+        guarded += sum(c.guarded for c in counts)
+    assert refuted > 20 and guarded > 0
+
+
+def test_lazy_refused_bulk_layer_reveals_nothing():
+    # after a refutation, a layer with one off-chain point is refused before
+    # its on-chain point 0 draws an image
+    rng = np.random.default_rng(15)
+    o = sample_shuffling(sample_simon(2, rng), 1, rng, backend="lazy")
+    assert next(w for w in range(40, 64) if o.query_point(1, w) is BOT) == 40
+    links, state = o._levels[0].lookup(range(o.domain_size)), o._rng.bit_generator.state
+    with pytest.raises(OracleError, match="off-chain reveal"):
+        o.values_at(0, [0, 17])
+    assert o._levels[0].lookup(range(o.domain_size)) == links
+    assert o._rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_lazy_batch_answers_a_repeated_fresh_point_once(level):
-    bulk, twin = _twin_lazy(2, 1, 5), _twin_lazy(2, 1, 5)
+    bulk, twin = _twin_lazy(2, 1, 5)
     xs = [3, 9, 3, 40, 9, 3]
     got = _answer_both(bulk, twin, level, xs)
     assert got[0] == got[2] == got[5] and got[1] == got[4]

@@ -83,6 +83,32 @@ def test_run_cells_builds_one_pool_per_run(monkeypatch):
     assert pooled == serial
 
 
+def test_run_cells_sizes_the_pool_by_trials(monkeypatch):
+    # no pool is started here: the fake only records the size it was given
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+    cells = [runner._Cell("solve", 2, 1, "solver", "materialized", None)]
+    serial = runner.run_cells(cells, trials=2, seed=9)
+    assert runner.run_cells(cells, trials=2, seed=9, jobs=64) == serial
+    assert runner.run_cells(cells, trials=3, seed=9, jobs=2) == runner.run_cells(cells, trials=3, seed=9)
+    assert runner.run_cells(cells, trials=1, seed=9, jobs=64) == runner.run_cells(cells, trials=1, seed=9)
+    assert sizes == [2, 2]
+
+
 def test_cli_child_imports_package_under_test(tmp_path):
     # CLI tests run their child in tmp_path; it must import this very package,
     # not fail to find it nor pick up another installed copy.
