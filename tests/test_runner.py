@@ -282,8 +282,13 @@ _SWEEP = ["sweep", "--n", "2..3", "--d", "0..1", "--trials", "10", "--seed", "12
         ("solve.json", ["solve", "--n", "3", "--d", "2", "--trials", "30", "--seed", "7"]),
         ("o2h.json", ["o2h", "--n", "2", "--d", "2", "--l", "1", "--trials", "300",
                       "--samples", "20", "--resamples", "50", "--seed", "5"]),
+        # the probe answers bot and every path step an int, on both backends
+        *((f"sample_oracle_{backend}.json",
+           ["sample-oracle", "--n", "3", "--d", "2", "--kind", "random", "--paths", "4",
+            "--seed", "9", "--backend", backend]) for backend in ("materialized", "lazy")),
     ],
-    ids=["sweep-materialized", "sweep-lazy", "sweep-lazy-deep", "solve", "o2h"],
+    ids=["sweep-materialized", "sweep-lazy", "sweep-lazy-deep", "solve", "o2h",
+         "sample-oracle-materialized", "sample-oracle-lazy"],
 )
 def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
     # golden files were written by an earlier build; any moved seeded output,
