@@ -18,7 +18,7 @@ from itertools import compress
 import numpy as np
 
 from . import qsim
-from .oracle import BOT, MaterializedShufflingOracle, OracleError, Path, ShufflingOracle
+from .oracle import MaterializedShufflingOracle, OracleError, Path, ShufflingOracle
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class ShadowOracle(ShufflingOracle):
 
     Levels below l are untouched; at level j >= l every point of S_j^(l) is
     blanked, which covers the true level set and therefore the whole core.
-    A layer takes the base backend's bulk answers and blanks its hidden points.
+    Point queries and layers alike blank the hidden points of the base's bulk answers.
     """
 
     def __init__(self, base: ShufflingOracle, hidden: HiddenSets, l: int) -> None:
@@ -91,11 +91,6 @@ class ShadowOracle(ShufflingOracle):
         self.base = base
         self.hidden = hidden
         self.l = l
-
-    def _answer(self, level: int, x: int):
-        if level >= self.l and self.hidden.contains(level, self.l, x):
-            return BOT
-        return self.base._answer(level, x)
 
     def _encoded_answers(self, level: int, xs) -> list[int]:
         idx = np.asarray(xs, dtype=np.int64)

@@ -150,9 +150,9 @@ def _draw_uniform(rng: np.random.Generator, size: int) -> int:
 
 
 class ShufflingOracle:
-    """Shared query surface for both backends."""
+    """Shared query surface; a backend answers through `_encoded_answers`."""
 
-    def __init__(self, instance: SimonInstance, d: int, record_transcript: bool = False) -> None:
+    def __init__(self, instance: SimonInstance, d: int) -> None:
         if d < 0:
             raise ValueError(f"depth must be nonnegative, got {d}")
         self.instance = instance
@@ -160,7 +160,6 @@ class ShufflingOracle:
         self.d = d
         self.domain_bits = (d + 2) * instance.n
         self.domain_size = 1 << self.domain_bits
-        self.transcript: list[dict] | None = [] if record_transcript else None
 
     def value_bits(self, level: int) -> int:
         self._check_level(level)
@@ -189,7 +188,6 @@ class ShufflingOracle:
         answer = self._answer(level, x)
         if ledger is not None and level == self.d and answer is not BOT:
             ledger.record_core()
-        self._record(level, x, answer)
         return answer
 
     def values_at(self, level: int, xs, ledger: DepthLedger | None = None) -> list[int]:
@@ -205,7 +203,8 @@ class ShufflingOracle:
         (`IncrementalInjection.reveal`), refusing the whole layer before any
         draw if a refutation makes one point's reveal inexact, and answers
         fresh core points that walk back to a root from the instance table,
-        which keeps that stream and every answer.
+        which keeps that stream and every answer. A refused layer, at any
+        level, leaves no link, refutation or draw behind.
         """
         self._check_level(level)
         for x in (min(xs), max(xs)) if len(xs) else ():
@@ -228,7 +227,6 @@ class ShufflingOracle:
             answer = self._answer(level, points[-1])
             if answer is BOT:
                 raise OracleError("path left the core's domain; backend state is inconsistent")
-            self._record(level, points[-1], answer)
             points.append(int(answer))
         if ledger is not None:
             ledger.record_core()
@@ -240,7 +238,8 @@ class ShufflingOracle:
         raise OracleError("level sets require the materialized backend")
 
     def _answer(self, level: int, x: int):
-        raise NotImplementedError
+        # one point through the backend's bulk hook
+        return self.decode_answer(level, self._encoded_answers(level, [x])[0])
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.d:
@@ -249,12 +248,6 @@ class ShufflingOracle:
     def _check_point(self, x: int) -> None:
         if not 0 <= x < self.domain_size:
             raise OracleError(f"point {x} outside the {self.domain_bits}-bit domain")
-
-    def _record(self, level: int, x: int, answer) -> None:
-        if self.transcript is not None:
-            self.transcript.append(
-                {"level": level, "input": int(x), "answer": "bot" if answer is BOT else int(answer)}
-            )
 
 
 def check_materialized_cap(domain_bits: int) -> None:
@@ -270,8 +263,8 @@ class MaterializedShufflingOracle(ShufflingOracle):
     """Backend with fully sampled permutation tables; domain capped to keep
     the tables in memory."""
 
-    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator, record_transcript=False) -> None:
-        super().__init__(instance, d, record_transcript)
+    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator) -> None:
+        super().__init__(instance, d)
         check_materialized_cap(self.domain_bits)
         size = self.domain_size
         self.tables = [rng.permutation(size).astype(np.int64) for _ in range(d)]
@@ -290,12 +283,6 @@ class MaterializedShufflingOracle(ShufflingOracle):
         v = self._core_table[idx]
         return np.where(v < 0, 1 << self.n, v).tolist()
 
-    def _answer(self, level: int, x: int):
-        if level < self.d:
-            return int(self.tables[level][x])
-        v = self._core_table[x]
-        return BOT if v < 0 else int(v)
-
     def level_points(self, j: int) -> np.ndarray:
         return np.sort(self._level_points[j])  # a fresh copy
 
@@ -303,8 +290,8 @@ class MaterializedShufflingOracle(ShufflingOracle):
 class LazyShufflingOracle(ShufflingOracle):
     """Backend that reveals the injections on demand."""
 
-    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator, record_transcript=False) -> None:
-        super().__init__(instance, d, record_transcript)
+    def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator) -> None:
+        super().__init__(instance, d)
         self._rng = rng
         # The revealed pairs are the only record of the chains: a point lies
         # on root r's chain iff revealed links lead from r to it.
@@ -320,6 +307,7 @@ class LazyShufflingOracle(ShufflingOracle):
     # -- shared plumbing ---------------------------------------------------
 
     def _answer(self, level: int, x: int):
+        # per point: a path query through the bulk hook costs three times more
         if level == self.d:
             return self._resolve_core(x)
         y = self._levels[level].image(x)
@@ -350,9 +338,22 @@ class LazyShufflingOracle(ShufflingOracle):
             reached = self._levels[t].preimages(reached)
         walked = {x: r for x, r in zip(points, reached) if r is not None and r < 1 << self.n}
         given = dict(zip(walked, self.instance.table[list(walked.values())].tolist()))
-        for x in points:
-            if x not in given:
+        rest = [x for x in points if x not in given]
+        # A refused point refuses the layer: undo the links, refutations and
+        # draws of the points before it (a lone point is refused before any).
+        saved = None
+        if len(rest) > 1:
+            links = [(dict(inj._fwd), dict(inj._rev)) for inj in self._levels]
+            saved = links, {j: set(b) for j, b in self._banned.items()}, self._rng.bit_generator.state
+        try:
+            for x in rest:
                 given[x] = self.encode_answer(self.d, self._resolve_core(x))
+        except OracleError:
+            if saved is not None:
+                links, self._banned, self._rng.bit_generator.state = saved
+                for inj, (fwd, rev) in zip(self._levels, links):
+                    inj._fwd, inj._rev = fwd, rev
+            raise
         return given
 
     def _walk_back(self, level: int, point: int) -> tuple[int, int]:
@@ -450,11 +451,10 @@ def sample_shuffling(
     d: int,
     rng: np.random.Generator,
     backend: str = "materialized",
-    record_transcript: bool = False,
 ) -> ShufflingOracle:
     """Sample a depth-d shuffling of the instance, choosing the backend."""
     if backend == "materialized":
-        return MaterializedShufflingOracle(instance, d, rng, record_transcript)
+        return MaterializedShufflingOracle(instance, d, rng)
     if backend == "lazy":
-        return LazyShufflingOracle(instance, d, rng, record_transcript)
+        return LazyShufflingOracle(instance, d, rng)
     raise ValueError(f"unknown backend {backend!r}")

@@ -413,17 +413,21 @@ def _cmd_sample_oracle(args) -> None:
         instance = sample_one_to_one(n, rng)
     else:
         instance = sample_decision_instance(n, rng)
-    oracle = sample_shuffling(instance, d, rng, backend=args.backend, record_transcript=True)
+    oracle = sample_shuffling(instance, d, rng, backend=args.backend)
     paths = [list(oracle.query_path(x).points) for x in range(min(args.paths, 1 << n))]
     probe_x = _draw_uniform(rng, oracle.domain_size)
     probe = oracle.query_point(d, probe_x)
+    core_probe = {"x": probe_x, "answer": "bot" if probe is BOT else int(probe)}
+    # the classical queries in order: each path's d+1 steps, then the probe
+    transcript = [{"level": l, "input": p[l], "answer": p[l + 1]} for p in paths for l in range(d + 1)]
+    transcript.append({"level": d, "input": probe_x, "answer": core_probe["answer"]})
     report = {
         "instance": instance.to_json_dict(),
         "d": d,
         "backend": args.backend,
         "paths": paths,
-        "core_probe": {"x": probe_x, "answer": "bot" if probe is BOT else int(probe)},
-        "transcript": oracle.transcript,
+        "core_probe": core_probe,
+        "transcript": transcript,
     }
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
@@ -464,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resamples", type=int, default=200, help="hidden-set redraws for the find bound")
     p.set_defaults(fn=_cmd_o2h)
 
-    p = sub.add_parser("sample-oracle", help="dump one sampled oracle and transcript as JSON")
+    p = sub.add_parser("sample-oracle", help="dump one sampled oracle and its classical queries, in order, as JSON")
     _add_common(p, ranged=False)
     p.add_argument("--kind", choices=["simon", "one-to-one", "random"], default="simon")
     p.add_argument("--paths", type=int, default=4, help="path queries to include")

@@ -86,8 +86,15 @@ def decide_from_samples(rows: list[BitVector], n: int, path_final) -> InstanceKi
     for Simon since injective instances admit no such pair. Raises SolverError
     when the null space holds more than CANDIDATE_CAP nonzero vectors."""
     basis = null_space_basis(BitMatrix(tuple(rows), n))
-    if not basis:
-        return InstanceKind.ONE_TO_ONE
+    if basis and _colliding_shift(basis, path_final) is not None:
+        return InstanceKind.SIMON
+    return InstanceKind.ONE_TO_ONE
+
+
+def _colliding_shift(basis: list[BitVector], path_final) -> int | None:
+    """The cheapest nonzero v in the span of `basis` with path_final(v) ==
+    path_final(0) (queried first), or None. Raises SolverError when the span
+    holds more than CANDIDATE_CAP nonzero vectors."""
     if (1 << len(basis)) - 1 > CANDIDATE_CAP:
         raise SolverError(
             f"{(1 << len(basis)) - 1} null-space candidates exceed the cap of "
@@ -97,10 +104,7 @@ def decide_from_samples(rows: list[BitVector], n: int, path_final) -> InstanceKi
     for b in basis:
         span |= {v ^ b.value for v in span}
     base = path_final(0)
-    for v in sorted(span - {0}):
-        if path_final(v) == base:
-            return InstanceKind.SIMON
-    return InstanceKind.ONE_TO_ONE
+    return next((v for v in sorted(span - {0}) if path_final(v) == base), None)
 
 
 def solve_search(
@@ -125,12 +129,8 @@ def solve_search(
         basis = null_space_basis(BitMatrix(tuple(rows), n))
         if not basis:
             raise SolverError("sample matrix reached full rank; instance violates the promise")
-        if len(basis) == 1:
-            candidate = basis[0]
-            base = oracle.query_path(0, ledger)
-            probe = oracle.query_path(candidate.value, ledger)
-            if base.final == probe.final:
-                return candidate
+        if len(basis) == 1 and _colliding_shift(basis, lambda x: oracle.query_path(x, ledger).final) is not None:
+            return basis[0]
         if rounds >= max_rounds:
             raise SolverError(f"rank deficiency persists after {max_rounds} rounds")
         rows.append(run_simon_round(oracle, rng, ledger).j)

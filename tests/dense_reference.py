@@ -6,8 +6,9 @@ package's sparse simulator: a flat numpy vector over all 2^total_width basis
 indices, bitfield arithmetic for register extraction, butterfly Hadamards,
 and index-permutation oracle layers. It uses nothing from shufflesim.qsim
 except the layout geometry. The helpers below it read sparse states
-(`amplitude`, `dense_statevector`) or reuse qsim's joint-span coordinates
-(`trace_distance`).
+(`amplitude`, `dense_statevector`), reuse qsim's joint-span coordinates
+(`trace_distance`), or read a materialized oracle's tables
+(`table_answers`).
 """
 
 import numpy as np
@@ -43,6 +44,21 @@ def dense_statevector(state, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
             idx |= v << off
         vec[idx] = amp
     return vec
+
+
+def table_answers(orc, level: int, xs) -> list[int]:
+    """Encoded answers of a materialized oracle, read straight from its
+    tables: tables[level][x] below the core; at the core, each root's chain
+    end (the points of level_points(d)) answers the root's instance value and
+    every other point the encoded bot."""
+    if level < orc.d:
+        return [int(orc.tables[level][x]) for x in xs]
+    ends = range(1 << orc.n)
+    for table in orc.tables:
+        ends = [int(table[p]) for p in ends]
+    core = dict(zip(ends, orc.instance.table.tolist()))
+    assert sorted(core) == orc.level_points(orc.d).tolist()
+    return [core.get(x, 1 << orc.n) for x in xs]
 
 
 def trace_distance(a, b) -> float:

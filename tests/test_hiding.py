@@ -5,6 +5,7 @@ from shufflesim import hiding, oracle, qsim, simon
 from shufflesim.oracle import BOT, OracleError
 
 from conftest import make_rng
+from dense_reference import table_answers
 
 
 def _simon_oracle(n, d, rng):
@@ -43,10 +44,11 @@ def _frozenset_hidden_sets(orc, rng):
 
 
 def _pointwise_shadow_answers(orc, sets, l, level, xs):
-    """Reference shadow layer: one frozenset lookup and one base answer per point."""
+    """Reference shadow layer: one frozenset lookup and one table read per point."""
+    base = table_answers(orc, level, xs)
     return [
-        orc.encode_answer(level, BOT if level >= l and x in sets[(level, l)] else orc._answer(level, x))
-        for x in xs
+        orc.encode_answer(level, BOT) if level >= l and x in sets[(level, l)] else a
+        for x, a in zip(xs, base)
     ]
 
 

@@ -1,10 +1,10 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
 from conftest import make_rng
+from dense_reference import table_answers
 from shufflesim.ledger import DepthLedger
 from shufflesim.oracle import (
     BOT,
@@ -114,18 +114,6 @@ def test_ledger_counts_classical_and_core():
     assert led.classical_queries == 2 and led.core_evaluations == 1
     o.query_point(1, y, led)  # on the level set: core evaluation
     assert led.core_evaluations == 2
-
-
-def test_transcript_serializes():
-    rng = make_rng("oracle", 13)
-    inst = sample_simon(2, rng)
-    o = sample_shuffling(inst, 1, rng, record_transcript=True)
-    o.query_path(2)
-    o.query_point(1, 63)
-    text = json.dumps(o.transcript)
-    entries = json.loads(text)
-    assert entries[0]["level"] == 0 and entries[0]["input"] == 2
-    assert all(e["answer"] == "bot" or isinstance(e["answer"], int) for e in entries)
 
 
 def test_domain_guards():
@@ -336,7 +324,7 @@ def test_materialized_bulk_matches_pointwise(n, d):
     xs = list(range(o.domain_size))
     for level in range(d + 1):
         got = o.values_at(level, xs)
-        assert got == _pointwise(o, level, xs)
+        assert got == table_answers(o, level, xs)
         assert all(type(a) is int for a in got)
     assert 1 << n in got  # the core's encoded bot is among the answers
 
@@ -479,6 +467,28 @@ def test_lazy_refused_bulk_layer_reveals_nothing():
         o.values_at(0, [0, 17])
     assert o._levels[0].lookup(range(o.domain_size)) == links
     assert o._rng.bit_generator.state == state
+
+
+def test_lazy_refused_core_layer_reveals_nothing():
+    # the mid-level probe f_1(11) = 2 is off every chain; the core layer's
+    # first fresh points resolve (one refutes 11 at level 1) before a later
+    # one is refused as entangled, and the refusal must undo what they did
+    def lazy():
+        rng = np.random.default_rng(11)
+        o = sample_shuffling(sample_simon(1, rng), 2, rng, backend="lazy")
+        assert o.query_point(1, 11) == 2
+        return o
+
+    def state(o):
+        links = [(inj.lookup(range(o.domain_size)), inj.preimages(range(o.domain_size))) for inj in o._levels]
+        return links, {j: set(b) for j, b in o._banned.items()}, o._core_given, o._rng.bit_generator.state
+
+    o, twin = lazy(), lazy()
+    with pytest.raises(OracleError, match="entangled with mid-level probe reveals"):
+        o.values_at(2, [2, 7, 9, 13])
+    assert state(o) == state(twin)
+    assert [o.query_path(x).points for x in range(2)] == [twin.query_path(x).points for x in range(2)]
+    assert state(o) == state(twin)
 
 
 @pytest.mark.parametrize("level", [0, 1])

@@ -259,11 +259,15 @@ def test_sample_oracle_dump(tmp_path):
     assert len(report["paths"]) == 2
     # a path visits d+2 points: input, one per injection, core answer
     assert all(len(p) == 3 for p in report["paths"])
-    assert report["transcript"], "transcript recording was requested"
-    for entry in report["transcript"]:
+    # the transcript is the classical queries in order: d+1 steps per path, then the probe
+    transcript = report["transcript"]
+    assert len(transcript) == 2 * 2 + 1
+    for entry in transcript:
         assert set(entry) == {"level", "input", "answer"}
+        assert entry["answer"] == "bot" or isinstance(entry["answer"], int)
+    assert transcript[0]["level"] == 0 and transcript[0]["input"] == report["paths"][0][0]
     probe = report["core_probe"]
-    assert probe["answer"] == "bot" or isinstance(probe["answer"], int)
+    assert transcript[-1] == {"level": 1, "input": probe["x"], "answer": probe["answer"]}
     again = _cli(args, tmp_path)
     assert again.stdout == res.stdout
 
