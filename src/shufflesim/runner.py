@@ -282,31 +282,35 @@ def parse_range(text: str) -> list[int]:
     return values
 
 
-def _add_common(p: argparse.ArgumentParser, ranged: bool) -> None:
+def _add_common(p: argparse.ArgumentParser, ranged: bool, flags=("trials", "jobs", "timing", "format")) -> None:
     kind = parse_range if ranged else int
     hint = "single value or range like 2..6 or 2,4" if ranged else "single value"
     p.add_argument("--n", type=kind, default=None, help=f"problem size ({hint})")
     p.add_argument("--d", type=kind, default=None, help=f"shuffling depth ({hint})")
-    p.add_argument("--trials", type=int, default=None, help="trials per grid cell")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--backend", choices=["materialized", "lazy"], default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (1 = serial)")
-    p.add_argument("--timing", action="store_true", help="record wall time (breaks byte-identical reruns)")
     p.add_argument("--out", default=None, help="output path, '-' or omitted for stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    optional = dict(
+        trials=dict(type=int, default=None, help="trials per grid cell"),
+        jobs=dict(type=int, default=None, help="worker processes (1 = serial)"),
+        timing=dict(action="store_true", help="record wall time (breaks byte-identical reruns)"),
+        format=dict(choices=["json", "csv"], default="json"),
+    )
+    for flag in flags:  # only the flags the command reads, so argparse refuses the rest
+        p.add_argument(f"--{flag}", **optional[flag])
 
 
-def _resolve_common(args, default_trials: int, n: int, d: int) -> None:
+def _resolve_common(args, default_trials: int | None, n: int, d: int) -> None:
     """Fill in defaults (environment first) and make --n and --d lists, then refuse
     any grid with a cell no trial can run."""
     args.seed = args.seed if args.seed is not None else _env("SEED", int, 0)
-    args.trials = args.trials if args.trials is not None else _env("TRIALS", int, default_trials)
     args.backend = args.backend if args.backend is not None else _env("BACKEND", str, "materialized")
-    args.jobs = args.jobs if args.jobs is not None else _env("JOBS", int, 1)
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be at least 1")
-    if args.trials < 1:
-        raise SystemExit("--trials must be at least 1")
+    for name, default in (("trials", default_trials), ("jobs", 1)):
+        if name in vars(args):
+            if getattr(args, name) is None:
+                setattr(args, name, _env(name.upper(), int, default))
+            if getattr(args, name) < 1:
+                raise SystemExit(f"--{name} must be at least 1")
     args.n, args.d = _as_list(args.n, n), _as_list(args.d, d)
     if min(args.n) < 1:
         raise SystemExit("--n must be at least 1")
@@ -402,7 +406,7 @@ def _cmd_o2h(args) -> None:
 
 
 def _cmd_sample_oracle(args) -> None:
-    _resolve_common(args, default_trials=1, n=3, d=1)
+    _resolve_common(args, default_trials=None, n=3, d=1)
     if args.paths < 0:
         raise SystemExit("--paths must be at least 0")
     n, d = args.n[0], args.d[0]
@@ -462,14 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=_cmd_grid, experiment=name, default_trials=trials)
 
     p = sub.add_parser("o2h", help="hiding, find-probability, and membership reports")
-    _add_common(p, ranged=False)
+    _add_common(p, ranged=False, flags=("trials",))
     p.add_argument("--l", type=int, default=1, help="hiding round index")
     p.add_argument("--samples", type=int, default=40, help="oracle draws for the pooled bound")
     p.add_argument("--resamples", type=int, default=200, help="hidden-set redraws for the find bound")
     p.set_defaults(fn=_cmd_o2h)
 
     p = sub.add_parser("sample-oracle", help="dump one sampled oracle and its classical queries, in order, as JSON")
-    _add_common(p, ranged=False)
+    _add_common(p, ranged=False, flags=())
     p.add_argument("--kind", choices=["simon", "one-to-one", "random"], default="simon")
     p.add_argument("--paths", type=int, default=4, help="path queries to include")
     p.set_defaults(fn=_cmd_sample_oracle)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import qsim
-from .gf2 import BitVector
 from .ledger import DepthLedger, SchemeBudget
 from .oracle import ShufflingOracle, _draw_uniform
 from .qsim import CircuitProgram
@@ -168,7 +167,7 @@ def solver_cq_decision_adversary(n: int, d: int, rounds: int):
     program = CircuitProgram(solver.layout, tuple(op for op in solver.ops if op[0] != "measure"))
 
     def adversary(caps: CircuitSchemeCaps, rng: np.random.Generator) -> InstanceKind:
-        rows = [BitVector(caps.run_circuit(program)["Q"], n) for _ in range(rounds)]
+        rows = [caps.run_circuit(program)["Q"] for _ in range(rounds)]
         return decide_from_samples(rows, n, lambda x: caps.path(x).final)
 
     return adversary
@@ -184,7 +183,7 @@ def solver_qc_decision_adversary(n: int, d: int, rounds: int):
     def adversary(caps: PersistentSchemeCaps, rng: np.random.Generator) -> InstanceKind:
         caps.declare(program)
         outcomes = caps.run(program.ops)
-        rows = [BitVector(outcomes[f"Q_{b}"], n) for b in range(rounds)]
+        rows = [outcomes[f"Q_{b}"] for b in range(rounds)]
         return decide_from_samples(rows, n, lambda x: caps.path(x).final)
 
     return adversary

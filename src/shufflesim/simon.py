@@ -65,15 +65,6 @@ class SimonInstance:
             "table": [int(v) for v in self.table],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SimonInstance":
-        return cls(
-            n=int(data["n"]),
-            kind=InstanceKind(data["kind"]),
-            s=None if data["s"] is None else int(data["s"]),
-            table=np.asarray(data["table"]),
-        )
-
 
 def sample_simon(n: int, rng: np.random.Generator) -> SimonInstance:
     """Uniform Simon instance: uniform nonzero s, then a uniform injection

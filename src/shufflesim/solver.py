@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qsim
-from .gf2 import BitMatrix, BitVector, null_space_basis
+from .gf2 import BitVector, null_space_basis
 from .ledger import DepthLedger
 from .oracle import BOT, ShufflingOracle
 from .simon import InstanceKind
@@ -79,19 +79,19 @@ def run_simon_round(
     )
 
 
-def decide_from_samples(rows: list[BitVector], n: int, path_final) -> InstanceKind:
-    """Decide Simon versus one-to-one from Fourier samples. Full rank
+def decide_from_samples(rows: list[int], n: int, path_final) -> InstanceKind:
+    """Decide Simon versus one-to-one from n-bit Fourier samples. Full rank
     certifies one-to-one; otherwise each nonzero null-space vector v, cheapest
     first, is checked for path_final(v) == path_final(0), which is conclusive
     for Simon since injective instances admit no such pair. Raises SolverError
     when the null space holds more than CANDIDATE_CAP nonzero vectors."""
-    basis = null_space_basis(BitMatrix(tuple(rows), n))
+    basis = null_space_basis(rows, n)
     if basis and _colliding_shift(basis, path_final) is not None:
         return InstanceKind.SIMON
     return InstanceKind.ONE_TO_ONE
 
 
-def _colliding_shift(basis: list[BitVector], path_final) -> int | None:
+def _colliding_shift(basis: list[int], path_final) -> int | None:
     """The cheapest nonzero v in the span of `basis` with path_final(v) ==
     path_final(0) (queried first), or None. Raises SolverError when the span
     holds more than CANDIDATE_CAP nonzero vectors."""
@@ -102,7 +102,7 @@ def _colliding_shift(basis: list[BitVector], path_final) -> int | None:
         )
     span = {0}
     for b in basis:
-        span |= {v ^ b.value for v in span}
+        span |= {v ^ b for v in span}
     base = path_final(0)
     return next((v for v in sorted(span - {0}) if path_final(v) == base), None)
 
@@ -123,17 +123,17 @@ def solve_search(
     if max_rounds is None:
         max_rounds = 4 * n + 16
     ledger = ledger if ledger is not None else DepthLedger()
-    rows: list[BitVector] = []
+    rows: list[int] = []
     rounds = 0
     while True:
-        basis = null_space_basis(BitMatrix(tuple(rows), n))
+        basis = null_space_basis(rows, n)
         if not basis:
             raise SolverError("sample matrix reached full rank; instance violates the promise")
         if len(basis) == 1 and _colliding_shift(basis, lambda x: oracle.query_path(x, ledger).final) is not None:
-            return basis[0]
+            return BitVector(basis[0], n)
         if rounds >= max_rounds:
             raise SolverError(f"rank deficiency persists after {max_rounds} rounds")
-        rows.append(run_simon_round(oracle, rng, ledger).j)
+        rows.append(run_simon_round(oracle, rng, ledger).j.value)
         rounds += 1
 
 
@@ -145,5 +145,5 @@ def solve_decision(
 ) -> InstanceKind:
     """Decide Simon versus one-to-one from `rounds` solver rounds."""
     ledger = ledger if ledger is not None else DepthLedger()
-    rows = [run_simon_round(oracle, rng, ledger).j for _ in range(rounds)]
+    rows = [run_simon_round(oracle, rng, ledger).j.value for _ in range(rounds)]
     return decide_from_samples(rows, oracle.n, lambda x: oracle.query_path(x, ledger).final)

@@ -5,10 +5,10 @@ DenseSim is deliberately implemented with a different representation from the
 package's sparse simulator: a flat numpy vector over all 2^total_width basis
 indices, bitfield arithmetic for register extraction, butterfly Hadamards,
 and index-permutation oracle layers. It uses nothing from shufflesim.qsim
-except the layout geometry. The helpers below it read sparse states
-(`amplitude`, `dense_statevector`), reuse qsim's joint-span coordinates
-(`trace_distance`), or read a materialized oracle's tables
-(`table_answers`).
+except the layout geometry. The helpers below it build and read layouts
+and sparse states (`layout_of`, `unpack`, `amplitude`, `dense_statevector`),
+reuse qsim's joint-span coordinates (`trace_distance`), or read a
+materialized oracle's tables (`table_answers`).
 """
 
 import numpy as np
@@ -16,6 +16,16 @@ import numpy as np
 from shufflesim import qsim
 
 DENSE_WIDTH_CAP = 20
+
+
+def layout_of(**widths: int):
+    """A layout with one register per keyword, in keyword order."""
+    return qsim.RegisterLayout(tuple(widths), tuple(widths.values()))
+
+
+def unpack(layout, key: int) -> tuple[int, ...]:
+    """The config tuple of a packed key (register 0 in the highest bits)."""
+    return tuple((key >> off) & ((1 << w) - 1) for off, w in zip(layout.offsets, layout.widths))
 
 
 def offset(layout, name: str) -> int:
@@ -40,7 +50,7 @@ def dense_statevector(state, width_cap: int = DENSE_WIDTH_CAP) -> np.ndarray:
     offsets = [offset(state.layout, name) for name in state.layout.names]
     for key, amp in state.amps.items():
         idx = 0
-        for v, off in zip(state.layout.unpack(key), offsets):
+        for v, off in zip(unpack(state.layout, key), offsets):
             idx |= v << off
         vec[idx] = amp
     return vec

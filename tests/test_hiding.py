@@ -5,7 +5,7 @@ from shufflesim import hiding, oracle, qsim, simon
 from shufflesim.oracle import BOT, OracleError
 
 from conftest import make_rng
-from dense_reference import table_answers
+from dense_reference import table_answers, unpack
 
 
 def _simon_oracle(n, d, rng):
@@ -58,7 +58,7 @@ def _loop_find_probability(state, orc, query_spec, sets, l):
     slots = [(level, state.layout.index(in_reg)) for level, in_reg, _ in query_spec if level >= l]
     total = 0.0
     for key, amp in state.amps.items():
-        cfg = state.layout.unpack(key)
+        cfg = unpack(state.layout, key)
         if any((cfg[idx] & mask) in sets[(level, l)] for level, idx in slots):
             total += abs(amp) ** 2
     return total
@@ -209,8 +209,8 @@ def test_find_probability_extremes():
     spec = [(1, "X", "A")]
     inside = min(hidden.set_at(1, 1))
     outside = min(set(range(orc.domain_size)) - set(hidden.set_at(1, 1)))
-    on = qsim.basis_state(layout, {"X": inside})
-    off = qsim.basis_state(layout, {"X": outside})
+    on = qsim.SparseState(layout, {(inside, 0): 1.0})
+    off = qsim.SparseState(layout, {(outside, 0): 1.0})
     assert hiding.find_probability(on, orc, spec, hidden, 1) == pytest.approx(1.0, abs=1e-9)
     assert hiding.find_probability(off, orc, spec, hidden, 1) == pytest.approx(0.0, abs=1e-9)
     flat = _uniform_over_domain(layout, "X")
@@ -284,7 +284,7 @@ def test_find_bound_flags_dependent_state():
     orc = _simon_oracle(2, 1, rng)
     hidden = hiding.sample_hidden_sets(orc, rng)
     layout = qsim.RegisterLayout(("X", "A"), (orc.domain_bits, orc.n + 1))
-    sitting = qsim.basis_state(layout, {"X": min(hidden.set_at(1, 1))})
+    sitting = qsim.SparseState(layout, {(min(hidden.set_at(1, 1)), 0): 1.0})
     rep = hiding.check_find_bound(
         sitting, orc, [(1, "X", "A")], 1, rng, hidden_sets=[hidden]
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_rng
-from dense_reference import DenseSim, amplitude, dense_statevector, offset, trace_distance
+from dense_reference import DenseSim, amplitude, dense_statevector, layout_of, offset, trace_distance, unpack
 from shufflesim import qsim
 from shufflesim.ledger import DepthLedger
 from shufflesim.oracle import sample_shuffling
@@ -14,7 +14,7 @@ from shufflesim.solver import solver_layout
 
 
 def small_layout():
-    return qsim.RegisterLayout.of(a=2, b=3)
+    return layout_of(a=2, b=3)
 
 
 def random_state(layout, seed, support=6):
@@ -63,7 +63,7 @@ def test_packed_keys_round_trip_in_tuple_order(case):
     # every bit of tests/golden/o2h.json; that is tuple order
     layout, configs = case
     keys = [layout.pack(cfg) for cfg in configs]
-    assert [layout.unpack(key) for key in keys] == configs
+    assert [unpack(layout, key) for key in keys] == configs
     assert sorted(keys) == [layout.pack(cfg) for cfg in sorted(configs)]
     for name, off in zip(layout.names, layout.offsets):
         assert layout.field(name) == (off, (1 << layout.width(name)) - 1)
@@ -73,11 +73,11 @@ def test_packed_keys_round_trip_in_tuple_order(case):
 
 
 def test_basis_and_uniform():
-    layout = qsim.RegisterLayout.of(q=1)
+    layout = layout_of(q=1)
     s = qsim.init_uniform(layout, "q")
     assert amplitude(s, {"q": 0}) == pytest.approx(1 / np.sqrt(2))
     assert amplitude(s, {"q": 1}) == pytest.approx(1 / np.sqrt(2))
-    layout3 = qsim.RegisterLayout.of(q=3)
+    layout3 = layout_of(q=3)
     s3 = qsim.init_uniform(layout3, "q")
     assert s3.support_size == 8
     assert all(abs(a - 1 / np.sqrt(8)) < 1e-12 for a in s3.amps.values())
@@ -86,7 +86,7 @@ def test_basis_and_uniform():
 
 
 def test_norm_validation():
-    layout = qsim.RegisterLayout.of(a=1)
+    layout = layout_of(a=1)
     with pytest.raises(qsim.SimulatorError):
         qsim.SparseState(layout, {(0,): 0.5})
 
@@ -96,14 +96,14 @@ def test_norm_validation():
     [((1, 4), "out of range"), ((-1, 0), "out of range"), ((1,), "does not match"), ((1, 2, 0), "does not match")],
 )
 def test_config_validation_names_the_bad_config(bad, message):
-    layout = qsim.RegisterLayout.of(a=1, b=2)
+    layout = layout_of(a=1, b=2)
     amps = {(0, 0): 0.6, bad: 0.8j, (1, 3): 1e-13}  # the last is pruned, not checked
     with pytest.raises(qsim.SimulatorError, match=re.escape(f"config {bad} {message}")):
         qsim.SparseState(layout, amps)
 
 
 def test_hadamard_basis_and_involution():
-    layout = qsim.RegisterLayout.of(q=2)
+    layout = layout_of(q=2)
     s = qsim.basis_state(layout)
     h = qsim.hadamard_register(s, "q")
     assert h.support_size == 4
@@ -200,7 +200,7 @@ class _StubOracle:
 
 @pytest.mark.parametrize("answer", [8, -1])
 def test_oracle_answer_outside_target_width_is_refused(answer):
-    layout = qsim.RegisterLayout.of(X=2, A=3)
+    layout = layout_of(X=2, A=3)
     state = qsim.init_uniform(layout, "X")
     assert qsim.apply_oracle_xor(state, _StubOracle(7), [(0, "X", "A")]).register_values("A") == {7}
     with pytest.raises(qsim.SimulatorError, match="answered outside register 'A'"):
@@ -233,7 +233,7 @@ def test_measurement_statistics():
 
 
 def test_dense_roundtrip():
-    layout = qsim.RegisterLayout.of(a=1)
+    layout = layout_of(a=1)
     vec = dense_statevector(qsim.SparseState(layout, {(1,): 1.0 + 0j}))
     assert np.allclose(vec, [0, 1])
     for seed in range(10):
@@ -270,7 +270,7 @@ def _loop_hadamard(state, register):
     scale = 2 ** (-w / 2)
     new_amps = {}
     for key, amp in state.amps.items():
-        cfg = state.layout.unpack(key)
+        cfg = unpack(state.layout, key)
         base = list(cfg)
         for j in range(1 << w):
             sign = -1.0 if (cfg[idx] & j).bit_count() & 1 else 1.0
@@ -285,7 +285,7 @@ def _loop_measure(state, register, rng):
     idx = state.layout.index(register)
     marginal = {}
     for key, amp in state.amps.items():
-        cfg = state.layout.unpack(key)
+        cfg = unpack(state.layout, key)
         marginal[cfg[idx]] = marginal.get(cfg[idx], 0.0) + abs(amp) ** 2
     outcomes = sorted(marginal)
     probs = np.array([marginal[v] for v in outcomes])
@@ -293,7 +293,7 @@ def _loop_measure(state, register, rng):
     pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
     outcome = outcomes[min(pick, len(outcomes) - 1)]
     scale = 1.0 / np.sqrt(marginal[outcome])
-    configs = map(state.layout.unpack, state.amps)
+    configs = (unpack(state.layout, key) for key in state.amps)
     keep = {c: a * scale for c, a in zip(configs, state.amps.values()) if c[idx] == outcome}
     return outcome, qsim.SparseState(state.layout, keep)
 
@@ -301,7 +301,7 @@ def _loop_measure(state, register, rng):
 def _grouped_state(w, seed):
     """Several groups of the registers around `h`, some holding pairs of
     equal-weight members whose Hadamard outputs cancel exactly on half of j."""
-    layout = qsim.RegisterLayout.of(a=2, h=w, b=1)
+    layout = layout_of(a=2, h=w, b=1)
     rng = make_rng("kernel", w, seed)
     amps = {}
     for a, b in [(3, 0), (0, 1), (1, 0), (0, 0)]:
@@ -347,14 +347,14 @@ def test_measure_kernel_matches_dict_reference():
 
 
 def _pure_pair(seed):
-    layout = qsim.RegisterLayout.of(r=3)
+    layout = layout_of(r=3)
     return random_state(layout, seed), random_state(layout, seed + 1)
 
 
 def test_fidelity_extremes():
     a, b = _pure_pair(200)
     assert qsim.fidelity(a, a) == pytest.approx(1.0)
-    layout = qsim.RegisterLayout.of(r=1)
+    layout = layout_of(r=1)
     zero = qsim.basis_state(layout)
     one = qsim.SparseState(layout, {(1,): 1.0 + 0j})
     assert qsim.fidelity(zero, one) == pytest.approx(0.0, abs=1e-12)
@@ -433,7 +433,7 @@ def _random_ensemble(layout, rng, pool):
 
 
 def test_bures_matches_two_build_reference_bit_for_bit():
-    layout = qsim.RegisterLayout.of(r=3, s=2)
+    layout = layout_of(r=3, s=2)
     rng = make_rng("bures-two-build")
     pool = [random_state(layout, 1000 + i, support=int(rng.integers(1, 12))) for i in range(12)]
     for _ in range(50):
@@ -446,7 +446,7 @@ def test_bures_matches_two_build_reference_bit_for_bit():
 
 def test_gram_route_matches_dense_density():
     # fidelity via component Gram matrices equals the dense-matrix computation
-    layout = qsim.RegisterLayout.of(r=3)
+    layout = layout_of(r=3)
     for seed in range(10):
         states_a = [random_state(layout, 500 + seed * 7 + i) for i in range(3)]
         states_b = [random_state(layout, 600 + seed * 7 + i) for i in range(2)]
@@ -473,7 +473,7 @@ def test_gram_route_matches_dense_density():
 def test_sparse_gram_route_matches_dense_route():
     # past 2^24 matrix entries _joint_components returns no dense matrix and
     # the Gram matrix comes from sparse dot products; both routes agree
-    layout = qsim.RegisterLayout.of(r=3, s=2)
+    layout = layout_of(r=3, s=2)
     rng = make_rng("sparse-gram")
     pool = [random_state(layout, 1100 + i, support=int(rng.integers(1, 12))) for i in range(12)]
     for _ in range(100):
@@ -487,7 +487,7 @@ def test_sparse_gram_route_matches_dense_route():
 
 
 def test_component_cap_refuses_the_span_solve():
-    zero = qsim.basis_state(qsim.RegisterLayout.of(r=1))
+    zero = qsim.basis_state(layout_of(r=1))
     many = qsim.MixedEnsemble(tuple((1.0 / 4097, zero) for _ in range(4097)))
     with pytest.raises(qsim.SimulatorError, match="4098 components exceed the cap of 4096"):
         qsim.bures_distance(many, zero)

@@ -341,6 +341,24 @@ def test_unrunnable_inputs_exit_before_any_trial(argv, message, monkeypatch):
     assert "\n" not in str(exc.value)
 
 
+_IGNORED_FLAGS = [
+    *((command, flag) for command in ("o2h", "sample-oracle")
+      for flag in (["--format", "csv"], ["--jobs", "2"], ["--timing"])),
+    ("sample-oracle", ["--trials", "3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _IGNORED_FLAGS, ids=[f"{c}{f[0]}" for c, f in _IGNORED_FLAGS]
+)
+def test_flags_a_command_does_not_read_are_refused(command, flag, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "sample_shuffling", lambda *a, **k: pytest.fail("an oracle was sampled"))
+    with pytest.raises(SystemExit) as exc:
+        runner.main([command, "--n", "2", "--d", "1", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_sample_oracle_probes_a_wide_lazy_domain(tmp_path):
     # (d+2)n = 64 bits: the core probe exceeds the generator's int64 range
     out = tmp_path / "oracle.json"

@@ -1,0 +1,71 @@
+"""Every function, class and method in src/ is used by src/ or bench/, so
+code that only tests call lives in tests/; and the names bench/ binds to
+by string still exist."""
+
+import ast
+import re
+from pathlib import Path
+
+from conftest import make_rng
+from shufflesim import oracle, simon, solver
+from shufflesim.ledger import DepthLedger
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "shufflesim").glob("*.py"))
+
+ALLOWED = {
+    "gf2.dot": "tests/test_acceptance.py checks sampled j against the shift with it",
+    "RegisterLayout.total_width": "tests/test_acceptance.py reads the solver layout's width",
+    "_CapsBase.query": "the d-CQ/d-QC schemes' classical point-query capability",
+}
+
+
+def _definitions():
+    for path in SRC:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{path.stem}.{node.name}", node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _references() -> set[str]:
+    # identifier strings count: the interpreter dispatches ops by name
+    names = set()
+    for path in SRC + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def test_no_src_name_is_called_only_by_tests():
+    used = _references()
+    unused = {key for key, name in _definitions() if name not in used}
+    assert unused == set(ALLOWED)
+
+
+def test_bench_tracer_still_binds(monkeypatch):
+    # the tracer reads null_space_basis's `matrix` argument by name and
+    # looks DepthLedger.snapshot up in the class dict
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.unwrapped_aliases() == []
+        rng = make_rng("tracer", 3, 1)
+        solver.solve_decision(oracle.sample_shuffling(simon.sample_simon(3, rng), 1, rng), 5, rng)
+        DepthLedger().snapshot()
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["gf2.null_space_basis.rows"] == 5
+    assert tracer.layer_totals()[0]["ledger.DepthLedger.snapshot"] == 1
