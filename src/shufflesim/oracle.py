@@ -419,9 +419,12 @@ class LazyShufflingOracle(ShufflingOracle):
         if open_roots and self._rng.random() * available < len(open_roots):
             chosen = open_roots[int(self._rng.integers(len(open_roots)))]
             # Route the chosen chain through `point`: fresh uniform links up
-            # to level-1, the forced link, then on to the core.
-            self._levels[level - 1].force(self._reveal_chain(chosen, level - 1), point)
-            self._reveal_chain(chosen, self.d)
+            # to level-1, then the forced link. The walk back from x just
+            # followed the links from `point` on to the core.
+            end = chosen
+            for t in range(level - 1):
+                end = self._answer(t, end)
+            self._levels[level - 1].force(end, point)
             return self.instance.value(chosen)
         self._banned[level].add(point)
         return BOT
@@ -437,13 +440,6 @@ class LazyShufflingOracle(ShufflingOracle):
                     "core membership at this point is entangled with "
                     "mid-level probe reveals; use the materialized backend"
                 )
-
-    def _reveal_chain(self, root: int, level: int) -> int:
-        # `root`'s chain point at `level`, revealing its missing links in order.
-        point = root
-        for t in range(level):
-            point = self._answer(t, point)
-        return point
 
 
 def sample_shuffling(

@@ -312,15 +312,15 @@ class Interpreter:
     supports. The program's oracle ops fix the groups; an oracle entry
     coupling registers the program never links is refused. Each oracle layer
     is validated, then charged to the ledger (which enforces the budget),
-    then answered."""
+    then answered; a refused layer leaves every group as it was. A group is
+    unused while it holds its initial state, as ops never mutate a state."""
 
     def __init__(
         self, program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger
     ) -> None:
         self._layout, self._oracle, self._rng, self.ledger = program.layout, oracle, rng, ledger
-        self._group_of, states = _linked_groups(program)
-        self.states = list(states)
-        self._touched: set[str] = set()
+        self._group_of, self._fresh = _linked_groups(program)
+        self.states = list(self._fresh)
         self.outcomes: dict[str, int] = {}
 
     def _group(self, name: str) -> int:
@@ -330,19 +330,17 @@ class Interpreter:
 
     def uniform(self, name: str) -> None:
         g = self._group(name)
-        if self._touched.intersection(self.states[g].layout.names):
+        if self.states[g] is not self._fresh[g]:
             raise SimulatorError(f"register {name!r} or one linked to it is in use; cannot reinitialize")
-        self._touched.add(name)
         self.states[g] = init_uniform(self.states[g].layout, name)
 
     def hadamard(self, name: str) -> None:
         g = self._group(name)
-        self._touched.add(name)
         self.states[g] = hadamard_register(self.states[g], name)
 
     def oracle_layer(self, query_spec) -> None:
-        # the whole layer is validated and charged before any group is
-        # written, so a refused layer leaves no answer behind
+        # every group is answered before any is stored, so a layer refused
+        # by the spec, the ledger or the oracle leaves no answer behind
         _validate_query_spec(self._layout, self._oracle, query_spec)
         by_group: dict[int, list] = {}
         for entry in query_spec:
@@ -351,13 +349,13 @@ class Interpreter:
                 raise SimulatorError(f"registers {entry[1]!r} and {entry[2]!r} are not linked by the program")
             by_group.setdefault(g, []).append(entry)
         self.ledger.record_oracle_layer()
-        self._touched.update(name for entry in query_spec for name in entry[1:])
-        for g, entries in by_group.items():
-            self.states[g] = apply_oracle_xor(self.states[g], self._oracle, entries, self.ledger)
+        answered = [(g, apply_oracle_xor(self.states[g], self._oracle, entries, self.ledger))
+                    for g, entries in by_group.items()]
+        for g, state in answered:
+            self.states[g] = state
 
     def measure(self, name: str) -> int:
         g = self._group(name)
-        self._touched.add(name)
         self.outcomes[name], self.states[g] = measure_register(self.states[g], name, self._rng)
         return self.outcomes[name]
 

@@ -67,6 +67,7 @@ class ResultRecord:
 
 
 CSV_HEADER = [f.name for f in fields(ResultRecord)]
+BACKENDS = ("materialized", "lazy")
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,7 @@ def _add_common(p: argparse.ArgumentParser, ranged: bool, flags=("trials", "jobs
     p.add_argument("--n", type=kind, default=None, help=f"problem size ({hint})")
     p.add_argument("--d", type=kind, default=None, help=f"shuffling depth ({hint})")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--backend", choices=["materialized", "lazy"], default=None)
+    p.add_argument("--backend", choices=BACKENDS, default=None)
     p.add_argument("--out", default=None, help="output path, '-' or omitted for stdout")
     optional = dict(
         trials=dict(type=int, default=None, help="trials per grid cell"),
@@ -305,6 +306,10 @@ def _resolve_common(args, default_trials: int | None, n: int, d: int) -> None:
     any grid with a cell no trial can run."""
     args.seed = args.seed if args.seed is not None else _env("SEED", int, 0)
     args.backend = args.backend if args.backend is not None else _env("BACKEND", str, "materialized")
+    if args.backend not in BACKENDS:
+        raise SystemExit(f"SHUFFLESIM_BACKEND={args.backend!r}: choose from {', '.join(BACKENDS)}")
+    if args.seed < 0:
+        raise SystemExit("--seed must be at least 0")
     for name, default in (("trials", default_trials), ("jobs", 1)):
         if name in vars(args):
             if getattr(args, name) is None:

@@ -132,7 +132,7 @@ def truncated_quantum_adversary(
     prefix = CircuitProgram(chase.layout, chase.ops[: 1 + layers])
     observed = qsim.run_program(prefix.measure_all(), oracle, rng, ledger).outcomes
     if layers <= d:
-        for k in range(min(TRUNCATED_PROBES, 1 << oracle.domain_bits) if d else 0):
+        for k in range(TRUNCATED_PROBES if d else 0):
             oracle.query_point(k % d, _draw_uniform(rng, oracle.domain_size), ledger)
         guess = InstanceKind.SIMON if rng.integers(2) == 0 else InstanceKind.ONE_TO_ONE
         return guess, ledger

@@ -124,17 +124,15 @@ def solve_search(
         max_rounds = 4 * n + 16
     ledger = ledger if ledger is not None else DepthLedger()
     rows: list[int] = []
-    rounds = 0
     while True:
         basis = null_space_basis(rows, n)
         if not basis:
             raise SolverError("sample matrix reached full rank; instance violates the promise")
         if len(basis) == 1 and _colliding_shift(basis, lambda x: oracle.query_path(x, ledger).final) is not None:
             return BitVector(basis[0], n)
-        if rounds >= max_rounds:
+        if len(rows) >= max_rounds:
             raise SolverError(f"rank deficiency persists after {max_rounds} rounds")
         rows.append(run_simon_round(oracle, rng, ledger).j.value)
-        rounds += 1
 
 
 def solve_decision(

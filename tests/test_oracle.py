@@ -256,6 +256,24 @@ def test_lazy_chains_avoid_a_refuted_mid_level_point():
     assert refuted > 200
 
 
+def test_lazy_routed_chain_is_complete():
+    # a core probe off the revealed chains that answers routes one open
+    # chain through the probed point, so that root's path draws nothing
+    for seed in range(2000):
+        inst, o = _oracle(2, 2, ("routed", seed), backend="lazy")
+        o.query_path(0)
+        x = int(make_rng("routed-probe", seed).integers(o.domain_size))
+        if o._root_at(2, x) is not None or (answer := o.query_point(2, x)) is BOT:
+            continue
+        root = o._root_at(2, x)
+        state = o._rng.bit_generator.state
+        path = o.query_path(root)
+        assert path.points[2] == x and path.final == answer == inst.value(root)
+        assert o._rng.bit_generator.state == state
+        return
+    pytest.fail("no probe off the revealed chains answered")
+
+
 def test_lazy_one_to_one_paths():
     rng = make_rng("oracle", 18)
     inst = sample_one_to_one(3, rng)

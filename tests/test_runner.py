@@ -322,11 +322,19 @@ def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
         (["o2h", "--resamples", "-1"], "--resamples must be at least 1"),
         (["sample-oracle", "--n", "2", "--d", "1", "--paths", "-3", "--backend", "lazy"],
          "--paths must be at least 0"),
+        (["solve", "--n", "2", "--d", "1", "--seed", "-1"], "--seed must be at least 0"),
+        (["o2h", "--seed", "-3"], "--seed must be at least 0"),
+        (["sample-oracle", "--seed", "-3"], "--seed must be at least 0"),
+        (["SHUFFLESIM_SEED=-1", "solve", "--n", "2", "--d", "1"], "--seed must be at least 0"),
+        (["SHUFFLESIM_BACKEND=foo", "solve", "--n", "2", "--d", "1", "--trials", "2"],
+         "SHUFFLESIM_BACKEND='foo': choose from materialized, lazy"),
     ],
     ids=[
         "materialized-cap", "zero-trials", "zero-n", "negative-d", "one-oversize-sweep-cell",
         "negative-q", "negative-budget", "zero-rounds", "negative-max-rounds", "no-adversaries",
         "unknown-adversary", "zero-samples", "negative-resamples", "negative-paths",
+        "negative-seed", "negative-seed-o2h", "negative-seed-sample-oracle", "env-negative-seed",
+        "env-unknown-backend",
     ],
 )
 def test_unrunnable_inputs_exit_before_any_trial(argv, message, monkeypatch):
@@ -335,10 +343,25 @@ def test_unrunnable_inputs_exit_before_any_trial(argv, message, monkeypatch):
 
     monkeypatch.setattr(runner, "_run_trial", no_trial)
     monkeypatch.setattr(runner, "sample_shuffling", no_trial)
+    # leading NAME=value items set the environment, as in a shell command
+    env = [item for item in argv if item.startswith("SHUFFLESIM_")]
+    for assignment in env:
+        monkeypatch.setenv(*assignment.split("=", 1))
     with pytest.raises(SystemExit) as exc:
-        runner.main(argv)
+        runner.main(argv[len(env):])
     assert message in str(exc.value)
     assert "\n" not in str(exc.value)
+
+
+def test_o2h_ignores_the_backend_variable(monkeypatch):
+    # o2h always runs materialized, so an unknown backend name reaches the first draw
+    def first_draw(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setenv("SHUFFLESIM_BACKEND", "foo")
+    monkeypatch.setattr(runner, "sample_shuffling", first_draw)
+    with pytest.raises(AssertionError, match="drew"):
+        runner.main(["o2h", "--trials", "1"])
 
 
 _IGNORED_FLAGS = [

@@ -136,6 +136,35 @@ def test_qc_layout_and_init_guards():
     with pytest.raises(qsim.SimulatorError):
         schemes.run_d_qc(reinit, orc, schemes.SchemeBudget(depth=1), rng)
 
+    # two banks are two register groups: an op on one leaves the other unused
+    banked = schemes._banked(solver.round_program(2, 0), 2)
+    for op in ("hadamard", "measure"):
+        caps = schemes.PersistentSchemeCaps(orc, schemes.SchemeBudget(depth=1), rng)
+        caps.declare(banked)
+        caps.run([(op, "N0_0")])
+        with pytest.raises(qsim.SimulatorError, match="cannot reinitialize"):
+            caps.run([("uniform", "Q_0")])
+        caps.run([("uniform", "Q_1")])
+
+
+def test_refused_layer_leaves_every_group_as_it_was():
+    # a refutation makes the lazy backend refuse off-chain reveals; the layer
+    # answers group {X, Y} at an on-chain point before U's refused reveal
+    rng = np.random.default_rng(15)
+    orc = oracle.sample_shuffling(simon.sample_simon(2, rng), 1, rng, backend="lazy")
+    assert orc.query_point(1, 40) is oracle.BOT
+    w, a = orc.domain_bits, orc.answer_bits(0)
+    layer = ("oracle", ((0, "X", "Y"), (0, "U", "V")))
+    program = qsim.CircuitProgram(qsim.RegisterLayout(("X", "Y", "U", "V"), (w, a, w, a)), (layer,))
+    caps = schemes.PersistentSchemeCaps(orc, schemes.SchemeBudget(depth=2), rng)
+    caps.declare(program)
+    caps.run([("uniform", "U")])
+    before = list(caps._machine.states)
+    with pytest.raises(oracle.OracleError, match="off-chain reveal"):
+        caps.run([layer])
+    assert all(now is then for now, then in zip(caps._machine.states, before))
+    assert caps.ledger.oracle_layers_total == 1
+
 
 def test_unknown_register_is_a_simulator_error():
     rng = make_rng("qc-unknown-register")

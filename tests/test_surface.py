@@ -3,6 +3,10 @@ code that only tests call lives in tests/; and the names bench/ binds to
 by string still exist."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
+import json
 import re
 from pathlib import Path
 
@@ -69,3 +73,29 @@ def test_bench_tracer_still_binds(monkeypatch):
         tracer.uninstall()
     assert tracer.counts["gf2.null_space_basis.rows"] == 5
     assert tracer.layer_totals()[0]["ledger.DepthLedger.snapshot"] == 1
+
+
+# per-layer metrics the bench computes from spans rather than reads from one
+DERIVED = {"solver.rounds_per_solve", "runner.parallel_speedup", "trace.overhead_frac"}
+
+
+def test_bench_per_layer_names_resolve(monkeypatch):
+    # a renamed function or ledger field would silently read 0 in the bench
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    fields = {f.name for f in dataclasses.fields(DepthLedger)}
+    rows = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    for name in (row["name"] for row in rows if row["name"] not in DERIVED):
+        module, _, rest = name.partition(".")
+        if module == "ledger" and "." not in rest:
+            assert tracing.LEDGER_FIELDS.get(rest) in fields, name
+            continue
+        span = name.rpartition(".")[0]  # drop .calls, .self_s or the counter
+        span = span.removesuffix(".materialized").removesuffix(".lazy")
+        if span in tracing.METHODS.values():
+            continue
+        attr = span.partition(".")[2]
+        fn = getattr(importlib.import_module(f"shufflesim.{module}"), attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == f"shufflesim.{module}", name
+        assert not attr.startswith("_"), name
