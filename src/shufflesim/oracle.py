@@ -99,21 +99,27 @@ class IncrementalInjection:
         over the unused images that `reject` (if given) does not refuse.
 
         Each pass draws one image for every point still open: one `integers`
-        call for several points on sizes up to 2^62, else one `_draw_uniform`
-        per point (a scalar draw, three times cheaper than a batch of one).
-        The draws are accepted in order; one whose image is used or refused
-        is skipped, so the open point takes the next draw. numpy gives k
-        batched draws the values and generator state of k scalar draws, so
-        the stream is that of revealing the points one after another, one
-        draw at a time. Ends a.s.: a completion of the committed facts maps
-        every open point to an unused image that `reject` accepts, so every
-        draw is accepted with positive probability.
+        call for several points on sizes up to 2^62, one `bytes` call for
+        several points on wider sizes whose draws take a multiple of 4 bytes,
+        else one `_draw_uniform` per point (a scalar draw, three times cheaper
+        than a batch of one). The draws are accepted in order; one whose
+        image is used or refused is skipped, so the open point takes the next
+        draw. numpy gives k batched draws the values and generator state of k
+        scalar draws (`bytes` fills whole 32-bit words, hence the 4-byte
+        multiples), so the stream is that of revealing the points one after
+        another, one draw at a time. Ends a.s.: a completion of the committed
+        facts maps every open point to an unused image that `reject` accepts,
+        so every draw is accepted with positive probability.
         """
         out = []
         while len(out) < len(xs):
             k = len(xs) - len(out)
             if k > 1 and self.size <= 1 << 62:
                 ys = self._rng.integers(self.size, size=k).tolist()
+            elif k > 1 and _wide_bytes(self.size) % 4 == 0:
+                nbytes = _wide_bytes(self.size)
+                raw = self._rng.bytes(k * nbytes)
+                ys = [int.from_bytes(raw[i : i + nbytes], "little") & (self.size - 1) for i in range(0, k * nbytes, nbytes)]
             else:
                 ys = [_draw_uniform(self._rng, self.size) for _ in range(k)]
             for y in ys:
@@ -138,15 +144,18 @@ class IncrementalInjection:
         return self._fwd.keys()
 
 
-def _draw_uniform(rng: np.random.Generator, size: int) -> int:
-    if size <= 1 << 62:
-        return int(rng.integers(size))
+def _wide_bytes(size: int) -> int:
     # Wide domains exceed the generator's integer range; sizes here are powers
     # of two, so masked random bytes stay exactly uniform.
     if size & (size - 1):
         raise OracleError(f"wide domain size {size} must be a power of two")
-    nbytes = ((size - 1).bit_length() + 7) // 8
-    return int.from_bytes(rng.bytes(nbytes), "little") & (size - 1)
+    return ((size - 1).bit_length() + 7) // 8
+
+
+def _draw_uniform(rng: np.random.Generator, size: int) -> int:
+    if size <= 1 << 62:
+        return int(rng.integers(size))
+    return int.from_bytes(rng.bytes(_wide_bytes(size)), "little") & (size - 1)
 
 
 class ShufflingOracle:
@@ -205,6 +214,11 @@ class ShufflingOracle:
         fresh core points that walk back to a root from the instance table,
         which keeps that stream and every answer. A refused layer, at any
         level, leaves no link, refutation or draw behind.
+
+        Every answer given is final, on every backend: asking for the same
+        points again returns the same answers, draws nothing and commits
+        nothing. qsim.run_program depends on it to reuse a program's states
+        before its first measurement instead of asking again.
         """
         self._check_level(level)
         for x in (min(xs), max(xs)) if len(xs) else ():
@@ -288,7 +302,10 @@ class MaterializedShufflingOracle(ShufflingOracle):
 
 
 class LazyShufflingOracle(ShufflingOracle):
-    """Backend that reveals the injections on demand."""
+    """Backend that reveals the injections on demand. What it reveals is
+    final: a link is never undone once an answer has read it, a refutation
+    never lifted, and a core answer given in bulk is kept as given (a refused
+    layer undoes only its own work, and answers nothing)."""
 
     def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator) -> None:
         super().__init__(instance, d)

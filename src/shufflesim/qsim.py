@@ -9,7 +9,8 @@ vector is ever built. Oracle answers are XORed into target registers (a basis
 permutation), Hadamard layers act on one register, and measurement collapses
 one register by the Born rule. A CircuitProgram lists such ops, and one
 Interpreter runs them, charging each oracle layer to the ledger, which
-enforces the run's budget.
+enforces the run's budget. A program's ops before its first measurement are
+run once per oracle; later runs read back the states they left.
 
 Ops build states from valid ones without the full config check. The Hadamard
 and measurement kernels add terms in a term-by-term loop's order and match it.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from itertools import compress
 
@@ -313,7 +315,8 @@ class Interpreter:
     coupling registers the program never links is refused. Each oracle layer
     is validated, then charged to the ledger (which enforces the budget),
     then answered; a refused layer leaves every group as it was. A group is
-    unused while it holds its initial state, as ops never mutate a state."""
+    unused while it holds its initial state, as ops never mutate a state, so
+    run_program may hand a later run the states an earlier one reached."""
 
     def __init__(
         self, program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger
@@ -374,13 +377,45 @@ class Interpreter:
         return self.outcomes
 
 
+# Per oracle, each program's group states after its ops before the first
+# measurement, and the core hits of each oracle layer among those ops; an
+# entry goes when its oracle does.
+_prefixes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def run_program(
     program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger
 ) -> Interpreter:
-    """Run a program as one circuit invocation; returns the interpreter that ran it."""
+    """Run a program as one circuit invocation; returns the interpreter that ran it.
+
+    The ops before the first measurement run once per oracle. They draw
+    nothing from `rng`, and every oracle answer they read is final once given
+    (see ShufflingOracle.values_at), so running them again would give the
+    same states and core hits and change nothing. A later run of an equal
+    program on the same oracle reads those states back and charges each of
+    their oracle layers in order, the layer then its core hits, so a budget
+    refuses the same layer with the same ledger as a run would. A run
+    refused before its first measurement stores nothing.
+    """
     ledger.record_circuit()
     machine = Interpreter(program, oracle, rng, ledger)
-    machine.run(program.ops)
+    cut = next((i for i, (kind, _) in enumerate(program.ops) if kind == "measure"), len(program.ops))
+    kept = _prefixes.get(oracle, {}).get(program)
+    if kept is None:
+        hits = []
+        for op in program.ops[:cut]:
+            before = ledger.core_evaluations
+            machine.run((op,))
+            if op[0] == "oracle":
+                hits.append(ledger.core_evaluations - before)
+        _prefixes.setdefault(oracle, {})[program] = tuple(machine.states), tuple(hits)
+    else:
+        states, hits = kept
+        for count in hits:
+            ledger.record_oracle_layer()
+            ledger.record_core(count)
+        machine.states = list(states)
+    machine.run(program.ops[cut:])
     return machine
 
 

@@ -11,6 +11,7 @@ from shufflesim.oracle import (
     IncrementalInjection,
     LazyShufflingOracle,
     OracleError,
+    _draw_uniform,
     sample_shuffling,
 )
 from shufflesim.simon import sample_decision_instance, sample_one_to_one, sample_simon
@@ -359,15 +360,20 @@ def test_bulk_refuses_out_of_domain_points(backend):
 # -- batch reveals (values_at) -----------------------------------------------
 
 
-@pytest.mark.parametrize("size", [1 << 3, 1 << 12, 1 << 40, 1 << 62, 3 << 20])
+@pytest.mark.parametrize("size", [1 << 3, 1 << 12, 1 << 40, 1 << 62, 3 << 20, 1 << 64, 1 << 65])
 def test_batched_draws_equal_scalar_draws(size):
     # the batch reveal path rests on this numpy property; if an upgrade
     # breaks it, this fails before any golden file does
     for k in (1, 2, 7, 1000):
         batch, scalar = make_rng("canary", size, k), make_rng("canary", size, k)
         batch.integers(8), scalar.integers(8)  # leaves half a 64-bit word buffered
-        drawn = batch.integers(size, size=k).tolist()
-        assert drawn == [int(scalar.integers(size)) for _ in range(k)]
+        if size <= 1 << 62:
+            drawn = batch.integers(size, size=k).tolist()
+        else:
+            # 8-byte draws are read in one rng.bytes call; 9-byte draws
+            # would not batch, so they keep the scalar path
+            drawn = IncrementalInjection(size, batch).reveal(list(range(k)))
+        assert drawn == [_draw_uniform(scalar, size) for _ in range(k)]
         assert batch.bit_generator.state == scalar.bit_generator.state
 
 

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import given, strategies as st
 from conftest import make_rng
 from dense_reference import DenseSim, amplitude, dense_statevector, layout_of, offset, trace_distance, unpack
 from shufflesim import qsim
-from shufflesim.ledger import DepthLedger
-from shufflesim.oracle import sample_shuffling
+from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
+from shufflesim.oracle import BOT, OracleError, sample_shuffling
 from shufflesim.simon import sample_one_to_one, sample_simon
-from shufflesim.solver import solver_layout
+from shufflesim.solver import round_program, solver_layout
 
 
 def small_layout():
@@ -491,3 +493,123 @@ def test_component_cap_refuses_the_span_solve():
     many = qsim.MixedEnsemble(tuple((1.0 / 4097, zero) for _ in range(4097)))
     with pytest.raises(qsim.SimulatorError, match="4098 components exceed the cap of 4096"):
         qsim.bures_distance(many, zero)
+
+
+# -- prefix reuse (run_program) ----------------------------------------------
+
+
+def _solver_programs(n, d):
+    """The round program, the CQ solver's deferred program with its
+    measurements, and the truncated adversary's longest prefix."""
+    chase = round_program(n, d)
+    deferred = qsim.CircuitProgram(chase.layout, tuple(op for op in chase.ops if op[0] != "measure"))
+    truncated = qsim.CircuitProgram(chase.layout, chase.ops[: 2 + d])
+    return chase, deferred.measure_all(), truncated.measure_all()
+
+
+def _run_unmemoized(program, oracle, rng, ledger):
+    ledger.record_circuit()
+    machine = qsim.Interpreter(program, oracle, rng, ledger)
+    machine.run(program.ops)
+    return machine
+
+
+def _twins(n, d, backend, *key):
+    rngs = make_rng("twins", n, d, backend, *key), make_rng("twins", n, d, backend, *key)
+    return [(sample_shuffling(sample_simon(n, r), d, r, backend=backend), r) for r in rngs]
+
+
+def _count_layers(monkeypatch):
+    calls = []
+    real = qsim.apply_oracle_xor
+    monkeypatch.setattr(qsim, "apply_oracle_xor", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["materialized", "lazy"])
+@pytest.mark.parametrize("n,d", [(3, 1), (4, 2), (2, 3)])
+def test_reused_prefix_equals_a_rerun(monkeypatch, backend, n, d):
+    (memo_orc, memo_rng), (plain_orc, plain_rng) = _twins(n, d, backend)
+    memo_ledger, plain_ledger = DepthLedger(), DepthLedger()
+    calls = _count_layers(monkeypatch)
+    counts = {"memo": 0, "plain": 0}
+    for _ in range(5):
+        for program in _solver_programs(n, d):
+            before = len(calls)
+            memo = qsim.run_program(program, memo_orc, memo_rng, memo_ledger)
+            counts["memo"] += len(calls) - before
+            before = len(calls)
+            plain = _run_unmemoized(program, plain_orc, plain_rng, plain_ledger)
+            counts["plain"] += len(calls) - before
+            assert memo.outcomes == plain.outcomes
+            # a linked group's state sits at its first register; the rest hold None
+            assert [s and (s.layout, list(s.amps.items())) for s in memo.states] == [
+                s and (s.layout, list(s.amps.items())) for s in plain.states
+            ]
+            assert memo_ledger == plain_ledger
+            assert memo_rng.bit_generator.state == plain_rng.bit_generator.state
+    # each program's prefix ran once: the chase of d+1 layers, the whole
+    # 2d+1-layer deferred program, the truncated d+1 layers; rounds uncompute
+    assert counts["plain"] == 5 * (5 * d + 3)
+    assert counts["memo"] == 5 * (5 * d + 3) - 4 * (4 * d + 3)
+
+
+def test_prefix_refused_by_the_budget_is_not_stored(monkeypatch):
+    n, d = 3, 2
+    _, deferred, _ = _solver_programs(n, d)
+    (orc, rng), _ = _twins(n, d, "lazy", "budget")
+    calls = _count_layers(monkeypatch)
+    with pytest.raises(DepthViolation, match="depth budget of 4 layers"):
+        qsim.run_program(deferred, orc, rng, DepthLedger(budget=SchemeBudget(depth=2 * d)))
+    assert len(calls) == 2 * d
+    assert orc not in qsim._prefixes
+    for computed in (2 * d + 1, 0):
+        before = len(calls)
+        qsim.run_program(deferred, orc, rng, DepthLedger())
+        assert len(calls) - before == computed
+
+
+def test_prefix_refused_by_the_lazy_oracle_is_not_stored(monkeypatch):
+    # after a refutation the lazy backend refuses an off-chain reveal
+    rng = np.random.default_rng(15)
+    orc = sample_shuffling(sample_simon(2, rng), 1, rng, backend="lazy")
+    assert orc.query_point(1, 40) is BOT
+    layout = qsim.RegisterLayout(("U", "V"), (orc.domain_bits, orc.answer_bits(0)))
+    program = qsim.CircuitProgram(layout, (("uniform", "U"), ("oracle", ((0, "U", "V"),)))).measure_all()
+    calls = _count_layers(monkeypatch)
+    for tries in (1, 2):
+        with pytest.raises(OracleError, match="off-chain reveal"):
+            qsim.run_program(program, orc, rng, DepthLedger())
+        assert len(calls) == tries
+    assert orc not in qsim._prefixes
+
+
+@pytest.mark.parametrize("backend", ["materialized", "lazy"])
+def test_replay_refused_by_the_budget_matches_a_rerun(backend):
+    n, d = 3, 2
+    round_, deferred, _ = _solver_programs(n, d)
+    (memo_orc, memo_rng), (plain_orc, plain_rng) = _twins(n, d, backend, "replay-refused")
+    for program, depth in ((deferred, 2 * d), (round_, d)):
+        qsim.run_program(program, memo_orc, memo_rng, DepthLedger())
+        _run_unmemoized(program, plain_orc, plain_rng, DepthLedger())
+        refused = []
+        for run, orc, rng in ((qsim.run_program, memo_orc, memo_rng), (_run_unmemoized, plain_orc, plain_rng)):
+            ledger = DepthLedger(budget=SchemeBudget(depth=depth))
+            with pytest.raises(DepthViolation) as err:
+                run(program, orc, rng, ledger)
+            assert err.value.ledger is ledger
+            refused.append((str(err.value), ledger))
+        assert refused[0] == refused[1]
+        assert refused[0][1].violations == [f"depth budget of {depth} layers per circuit exceeded"]
+        assert memo_rng.bit_generator.state == plain_rng.bit_generator.state
+
+
+def test_prefixes_go_with_their_oracle():
+    (orc, rng), _ = _twins(3, 1, "lazy", "lifetime")
+    qsim.run_program(round_program(3, 1), orc, rng, DepthLedger())
+    assert round_program(3, 1) in qsim._prefixes[orc]
+    held, alive = len(qsim._prefixes), weakref.ref(orc)
+    del orc
+    gc.collect()
+    assert alive() is None
+    assert len(qsim._prefixes) < held
