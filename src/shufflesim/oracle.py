@@ -69,6 +69,10 @@ class IncrementalInjection:
     Unrevealed images are drawn uniformly from the unused codomain (rejection
     sampling, exact), so any reveal order yields the distribution of a
     fully-sampled uniform injection restricted to the queried points.
+
+    `fwd` and `rev` are the revealed links, x -> y and y -> x: the lazy
+    oracle's record of them, which it reads directly. `reveal` and `force`
+    add each link to both, so they stay inverse.
     """
 
     def __init__(self, size: int, rng: np.random.Generator) -> None:
@@ -76,23 +80,8 @@ class IncrementalInjection:
             raise ValueError(f"size must be positive, got {size}")
         self.size = size
         self._rng = rng
-        self._fwd: dict[int, int] = {}
-        self._rev: dict[int, int] = {}
-
-    def image(self, x: int) -> int | None:
-        return self._fwd.get(x)
-
-    def preimage(self, y: int) -> int | None:
-        return self._rev.get(y)
-
-    def lookup(self, xs) -> list[int | None]:
-        """The revealed image of each point, None where still unrevealed."""
-        return list(map(self._fwd.get, xs))
-
-    def preimages(self, ys) -> list[int | None]:
-        """The revealed preimage of each point, None where it has none (and
-        for a None entry)."""
-        return list(map(self._rev.get, ys))
+        self.fwd: dict[int, int] = {}
+        self.rev: dict[int, int] = {}
 
     def reveal(self, xs: list[int], reject=None) -> list[int]:
         """Reveal distinct unrevealed points in order; each image is uniform
@@ -123,25 +112,19 @@ class IncrementalInjection:
             else:
                 ys = [_draw_uniform(self._rng, self.size) for _ in range(k)]
             for y in ys:
-                if y not in self._rev and (reject is None or not reject(y)):
+                if y not in self.rev and (reject is None or not reject(y)):
                     x = xs[len(out)]
-                    self._fwd[x] = y
-                    self._rev[y] = x
+                    self.fwd[x] = y
+                    self.rev[y] = x
                     out.append(y)
         return out
 
     def force(self, x: int, y: int) -> None:
         # Commit a pair decided by an external conditional-sampling step.
-        if x in self._fwd or y in self._rev:
+        if x in self.fwd or y in self.rev:
             raise OracleError("pair conflicts with revealed injection state")
-        self._fwd[x] = y
-        self._rev[y] = x
-
-    def image_count(self) -> int:
-        return len(self._rev)
-
-    def revealed_sources(self):
-        return self._fwd.keys()
+        self.fwd[x] = y
+        self.rev[y] = x
 
 
 def _wide_bytes(size: int) -> int:
@@ -204,16 +187,16 @@ class ShufflingOracle:
 
         Does not count classical queries; the caller accounts for the oracle
         layer. Core evaluations are still tallied per answered point. A lazy
-        oracle reads the points it has committed (revealed links, core answers
-        given) and samples only fresh points, in the order of `xs` (ascending
-        in a circuit layer); committed answers are final and draw nothing, so
-        the generator stream is that of answering each point in turn. It
-        draws a layer's fresh level-<d images in one batch
+        oracle reads each answer it has committed from its revealed links and
+        refutations and samples only fresh points, in the order of `xs`
+        (ascending in a circuit layer); committed answers are final and draw
+        nothing, so the generator stream is that of answering each point in
+        turn. It draws a layer's fresh level-<d images in one batch
         (`IncrementalInjection.reveal`), refusing the whole layer before any
         draw if a refutation makes one point's reveal inexact, and answers
-        fresh core points that walk back to a root from the instance table,
-        which keeps that stream and every answer. A refused layer, at any
-        level, leaves no link, refutation or draw behind.
+        core points that walk back to a root from the instance table, which
+        keeps that stream and every answer. A refused layer, at any level,
+        leaves no link, refutation or draw behind.
 
         Every answer given is final, on every backend: asking for the same
         points again returns the same answers, draws nothing and commits
@@ -302,10 +285,10 @@ class MaterializedShufflingOracle(ShufflingOracle):
 
 
 class LazyShufflingOracle(ShufflingOracle):
-    """Backend that reveals the injections on demand. What it reveals is
-    final: a link is never undone once an answer has read it, a refutation
-    never lifted, and a core answer given in bulk is kept as given (a refused
-    layer undoes only its own work, and answers nothing)."""
+    """Backend that reveals the injections on demand. Its revealed links and
+    refutations are its whole record, and every answer is read from them: a
+    link is never undone once an answer has read it, and a refutation never
+    lifted (a refused layer undoes only its own work, and answers nothing)."""
 
     def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator) -> None:
         super().__init__(instance, d)
@@ -317,9 +300,6 @@ class LazyShufflingOracle(ShufflingOracle):
         # refuted point is where a walk back stopped, so it has no preimage,
         # and reveals refuse it as an image, so it never gains one.
         self._banned: dict[int, set[int]] = {j: set() for j in range(1, d + 1)}
-        # Core answers given in bulk, encoded; each is final, as its point is
-        # then chained, banned, or walks back to a fixed level-0 point.
-        self._core_given: dict[int, int] = {}
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -327,32 +307,32 @@ class LazyShufflingOracle(ShufflingOracle):
         # per point: a path query through the bulk hook costs three times more
         if level == self.d:
             return self._resolve_core(x)
-        y = self._levels[level].image(x)
+        y = self._levels[level].fwd.get(x)
         return self._reveal(level, [x])[0] if y is None else y
 
     def _encoded_answers(self, level: int, xs) -> list[int]:
-        core = level == self.d
-        answers = list(map(self._core_given.get, xs)) if core else self._levels[level].lookup(xs)
+        # distinct points in first-seen order: a repeat reads what the first drew
+        if level == self.d:
+            given = self._core_answers(list(dict.fromkeys(xs)))
+            return [given[x] for x in xs]
+        answers = list(map(self._levels[level].fwd.get, xs))
         if None not in answers:
             return answers
-        # fresh points in first-seen order: a repeat reads what the first drew
         fresh = list(dict.fromkeys(x for x, a in zip(xs, answers) if a is None))
-        if core:
-            given = self._fresh_core_answers(fresh)
-            self._core_given.update(given)
-        else:
-            given = dict(zip(fresh, self._reveal(level, fresh)))
+        given = dict(zip(fresh, self._reveal(level, fresh)))
         return [given[x] if a is None else a for x, a in zip(xs, answers)]
 
-    def _fresh_core_answers(self, points: list[int]) -> dict[int, int]:
+    def _core_answers(self, points: list[int]) -> dict[int, int]:
         # A point whose revealed links walk back to a root has that root's
         # value and draws nothing (a refuted point never gains a preimage, so
-        # no such walk meets one); the others are resolved in order.
-        # Resolving one never changes a walked point's answer: it only adds
-        # links and refutations off the revealed chains.
+        # no such walk meets one); the others are resolved in order, and one
+        # already answered is refuted or walks back off the roots, so it too
+        # is answered bot without a draw. Resolving one never changes a
+        # walked point's answer: it only adds links and refutations off the
+        # revealed chains.
         reached = points
         for t in reversed(range(self.d)):
-            reached = self._levels[t].preimages(reached)
+            reached = list(map(self._levels[t].rev.get, reached))
         walked = {x: r for x, r in zip(points, reached) if r is not None and r < 1 << self.n}
         given = dict(zip(walked, self.instance.table[list(walked.values())].tolist()))
         rest = [x for x in points if x not in given]
@@ -360,7 +340,7 @@ class LazyShufflingOracle(ShufflingOracle):
         # draws of the points before it (a lone point is refused before any).
         saved = None
         if len(rest) > 1:
-            links = [(dict(inj._fwd), dict(inj._rev)) for inj in self._levels]
+            links = [(dict(inj.fwd), dict(inj.rev)) for inj in self._levels]
             saved = links, {j: set(b) for j, b in self._banned.items()}, self._rng.bit_generator.state
         try:
             for x in rest:
@@ -369,7 +349,7 @@ class LazyShufflingOracle(ShufflingOracle):
             if saved is not None:
                 links, self._banned, self._rng.bit_generator.state = saved
                 for inj, (fwd, rev) in zip(self._levels, links):
-                    inj._fwd, inj._rev = fwd, rev
+                    inj.fwd, inj.rev = fwd, rev
             raise
         return given
 
@@ -377,7 +357,7 @@ class LazyShufflingOracle(ShufflingOracle):
         # Follow revealed links back from `point` at `level` to level 0 or to
         # a point with no revealed preimage, and return where the walk stops.
         while level:
-            prev = self._levels[level - 1].preimage(point)
+            prev = self._levels[level - 1].rev.get(point)
             if prev is None:
                 break
             point, level = prev, level - 1
@@ -429,10 +409,10 @@ class LazyShufflingOracle(ShufflingOracle):
         # Each root's chain point at `level`, None past its first unrevealed link.
         reached = list(range(1 << self.n))
         for t in range(level):
-            reached = self._levels[t].lookup(reached)
+            reached = list(map(self._levels[t].fwd.get, reached))
         open_roots = [r for r, pt in enumerate(reached) if pt is None]
         # open chains land on an unused image that is not refuted
-        available = self.domain_size - self._levels[level - 1].image_count() - len(self._banned[level])
+        available = self.domain_size - len(self._levels[level - 1].rev) - len(self._banned[level])
         if open_roots and self._rng.random() * available < len(open_roots):
             chosen = open_roots[int(self._rng.integers(len(open_roots)))]
             # Route the chosen chain through `point`: fresh uniform links up
@@ -452,7 +432,7 @@ class LazyShufflingOracle(ShufflingOracle):
         # holds only while no unrevealed prefix can merge into a mid-level
         # revealed link. Stray probes at non-image points break that.
         for t in range(1, level):
-            if None in self._levels[t - 1].preimages(self._levels[t].revealed_sources()):
+            if not self._levels[t].fwd.keys() <= self._levels[t - 1].rev.keys():
                 raise OracleError(
                     "core membership at this point is entangled with "
                     "mid-level probe reveals; use the materialized backend"

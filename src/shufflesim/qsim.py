@@ -292,7 +292,7 @@ class CircuitProgram:
         return CircuitProgram(self.layout, self.ops + tuple(("measure", r) for r in self.layout.names))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _linked_groups(program: CircuitProgram) -> tuple[dict[str, int], tuple]:
     """The program's registers grouped by its oracle entries, each group in the
     all-zero basis state; states are never mutated, so interpreters share them."""
@@ -316,7 +316,10 @@ class Interpreter:
     is validated, then charged to the ledger (which enforces the budget),
     then answered; a refused layer leaves every group as it was. A group is
     unused while it holds its initial state, as ops never mutate a state, so
-    run_program may hand a later run the states an earlier one reached."""
+    run_program may hand a later run the states an earlier one reached.
+    Equal programs share those initial states for the life of the process
+    (`_linked_groups` is never evicted), so a state handed on stays
+    recognisably initial however many programs run in between."""
 
     def __init__(
         self, program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger

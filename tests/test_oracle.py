@@ -405,7 +405,7 @@ def _reveal_point_by_point(inj):
         out = []
         for x in xs:
             y = int(inj._rng.integers(inj.size))
-            while y in inj._rev or (reject is not None and reject(y)):
+            while y in inj.rev or (reject is not None and reject(y)):
                 y = int(inj._rng.integers(inj.size))
             inj.force(x, y)
             out.append(y)
@@ -433,6 +433,13 @@ def _answer_both(bulk, twin, level, xs):
     assert got == _pointwise(twin, level, xs)
     assert bulk._rng.bit_generator.state == twin._rng.bit_generator.state
     return got
+
+
+def _record(o):
+    """Copies of a lazy oracle's links at every level, its refutations and
+    its generator state."""
+    links = [(dict(inj.fwd), dict(inj.rev)) for inj in o._levels]
+    return links, {j: set(b) for j, b in o._banned.items()}, o._rng.bit_generator.state
 
 
 def _chase_both(bulk, twin, roots):
@@ -486,11 +493,10 @@ def test_lazy_refused_bulk_layer_reveals_nothing():
     rng = np.random.default_rng(15)
     o = sample_shuffling(sample_simon(2, rng), 1, rng, backend="lazy")
     assert next(w for w in range(40, 64) if o.query_point(1, w) is BOT) == 40
-    links, state = o._levels[0].lookup(range(o.domain_size)), o._rng.bit_generator.state
+    record = _record(o)
     with pytest.raises(OracleError, match="off-chain reveal"):
         o.values_at(0, [0, 17])
-    assert o._levels[0].lookup(range(o.domain_size)) == links
-    assert o._rng.bit_generator.state == state
+    assert _record(o) == record
 
 
 def test_lazy_refused_core_layer_reveals_nothing():
@@ -503,25 +509,32 @@ def test_lazy_refused_core_layer_reveals_nothing():
         assert o.query_point(1, 11) == 2
         return o
 
-    def state(o):
-        links = [(inj.lookup(range(o.domain_size)), inj.preimages(range(o.domain_size))) for inj in o._levels]
-        return links, {j: set(b) for j, b in o._banned.items()}, o._core_given, o._rng.bit_generator.state
-
     o, twin = lazy(), lazy()
     with pytest.raises(OracleError, match="entangled with mid-level probe reveals"):
         o.values_at(2, [2, 7, 9, 13])
-    assert state(o) == state(twin)
+    assert _record(o) == _record(twin)
     assert [o.query_path(x).points for x in range(2)] == [twin.query_path(x).points for x in range(2)]
-    assert state(o) == state(twin)
+    assert _record(o) == _record(twin)
 
 
-@pytest.mark.parametrize("level", [0, 1])
-def test_lazy_batch_answers_a_repeated_fresh_point_once(level):
-    bulk, twin = _twin_lazy(2, 1, 5)
-    xs = [3, 9, 3, 40, 9, 3]
+@pytest.mark.parametrize("d, level", [(d, level) for d in range(3) for level in range(d + 1)])
+def test_lazy_batch_answers_a_repeated_fresh_point_once(d, level):
+    """A layer asked again is read from the links and refutations the first
+    ask left: the same answers, and no link, refutation or draw added. The
+    layer holds points on the chains of roots 0 and 1, the end of a chain
+    from the off-root point `top` (at the core: bot, as it walks back off
+    the roots) and off-chain probes (at the core: routed or refuted)."""
+    bulk, twin = _twin_lazy(2, d, 5)
+    top = bulk.domain_size - 1
+    chained = [0, 1, top]
+    for t in range(level):
+        chained = _answer_both(bulk, twin, t, chained)
+    xs = [3, chained[0], 9, 3, chained[2], 9, top - 5, chained[1], 3]
     got = _answer_both(bulk, twin, level, xs)
-    assert got[0] == got[2] == got[5] and got[1] == got[4]
-    assert _answer_both(bulk, twin, level, xs) == got  # committed: nothing drawn
+    assert got[0] == got[3] == got[8] and got[2] == got[5]
+    record = _record(bulk)
+    assert _answer_both(bulk, twin, level, xs) == got
+    assert _record(bulk) == record
 
 
 # -- seeded random query sequences -------------------------------------------

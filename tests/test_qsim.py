@@ -11,6 +11,7 @@ from dense_reference import DenseSim, amplitude, dense_statevector, layout_of, o
 from shufflesim import qsim
 from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
 from shufflesim.oracle import BOT, OracleError, sample_shuffling
+from shufflesim.schemes import CircuitSchemeCaps
 from shufflesim.simon import sample_one_to_one, sample_simon
 from shufflesim.solver import round_program, solver_layout
 
@@ -613,3 +614,18 @@ def test_prefixes_go_with_their_oracle():
     gc.collect()
     assert alive() is None
     assert len(qsim._prefixes) < held
+
+
+def test_replayed_prefix_still_initializes_after_many_other_programs():
+    # the replayed states hold the first run's fresh group for B; it must
+    # still read as unused after more distinct programs than a bounded cache
+    # of linked groups would keep
+    (orc, rng), _ = _twins(2, 1, "materialized", "replay-evicted")
+    caps = CircuitSchemeCaps(orc, SchemeBudget(), rng)
+    layout = qsim.RegisterLayout(("A", "B"), (2, 2))
+    program = qsim.CircuitProgram(layout, (("uniform", "A"), ("measure", "A"), ("uniform", "B")))
+    caps.run_circuit(program)
+    for i in range(257):
+        name = f"R{i}"
+        caps.run_circuit(qsim.CircuitProgram(qsim.RegisterLayout((name,), (1,)), (("uniform", name),)))
+    assert set(caps.run_circuit(program)) == {"A", "B"}

@@ -1,6 +1,7 @@
 """Every function, class and method in src/ is used by src/ or bench/, so
-code that only tests call lives in tests/; and the names bench/ binds to
-by string still exist."""
+code that only tests call lives in tests/; no src statement assigns another
+object's private attribute; and the names bench/ binds to by string still
+exist."""
 
 import ast
 import dataclasses
@@ -54,6 +55,22 @@ def test_no_src_name_is_called_only_by_tests():
     used = _references()
     unused = {key for key, name in _definitions() if name not in used}
     assert unused == set(ALLOWED)
+
+
+def test_no_src_statement_assigns_another_objects_private_attribute():
+    # an object's private state is set only through its own methods
+    found = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a stored attribute is the target of an assignment
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and re.match(r"_(?!_\w+__$)", node.attr)
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_bench_tracer_still_binds(monkeypatch):
