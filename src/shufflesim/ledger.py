@@ -38,8 +38,8 @@ class DepthLedger:
 
     One call that queries many levels in parallel counts as a single oracle
     layer; its entries may share inputs but write no register any entry
-    reads. core_evaluations counts answers served from the core function on
-    its defined domain, classically or from superposition support. A layer,
+    reads. core_evaluations counts the distinct points of a classical query
+    or superposed layer the core function answers on its domain. A layer,
     circuit or classical charge past its cap is recorded as a violation and
     raises DepthViolation, leaving the counter as it was; callers charge
     before the oracle answers, so a refused charge reveals nothing.

@@ -172,24 +172,23 @@ class ShufflingOracle:
 
     def query_point(self, level: int, x: int, ledger: DepthLedger | None = None):
         """Classical query: the level's function value, BOT off the core's
-        domain at level d. The ledger is charged before the oracle answers."""
+        domain at level d. It is a one-point `values_at`, decoded, and the
+        ledger is charged one classical query before the oracle answers."""
         self._check_level(level)
         self._check_point(x)
         if ledger is not None:
             ledger.record_classical()
-        answer = self._answer(level, x)
-        if ledger is not None and level == self.d and answer is not BOT:
-            ledger.record_core()
-        return answer
+        return self.decode_answer(level, self.values_at(level, [x], ledger)[0])
 
     def values_at(self, level: int, xs, ledger: DepthLedger | None = None) -> list[int]:
         """Bulk answers for superposed application, already flag-encoded.
 
         Does not count classical queries; the caller accounts for the oracle
-        layer. Core evaluations are still tallied per answered point. A lazy
-        oracle reads each answer it has committed from its revealed links and
-        refutations and samples only fresh points, in the order of `xs`
-        (ascending in a circuit layer); committed answers are final and draw
+        layer. Core evaluations are tallied per distinct point. A lazy oracle
+        reads each answer it has committed from its revealed links and
+        refutations and samples only fresh points, in first-seen order of
+        `xs` (a circuit layer's state order, which picks the fresh point each
+        image goes to, not their law); committed answers are final and draw
         nothing, so the generator stream is that of answering each point in
         turn. It draws a layer's fresh level-<d images in one batch
         (`IncrementalInjection.reveal`), refusing the whole layer before any
@@ -208,7 +207,7 @@ class ShufflingOracle:
             self._check_point(x)
         answers = self._encoded_answers(level, xs)
         if ledger is not None and level == self.d:
-            core_hits = len(answers) - answers.count(1 << self.n)
+            core_hits = len({x for x, a in zip(xs, answers) if a != 1 << self.n})
             if core_hits:
                 ledger.record_core(core_hits)
         return answers

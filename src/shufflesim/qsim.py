@@ -196,8 +196,8 @@ def apply_oracle_xor(
     so entries act on disjoint registers: they may share an input, but none
     may write a register another reads or writes. Inputs are read on their
     domain bits only (a flag bit above them is ignored). The layer is then a
-    bijection on configs and an involution. The ledger, if given, counts the
-    core evaluations; the layer itself is counted by Interpreter.oracle_layer.
+    bijection on configs and an involution. values_at takes every input in
+    state order and charges its core hits; Interpreter.oracle_layer the layer.
     """
     layout = state.layout
     resolved = _validate_query_spec(layout, oracle, query_spec)
@@ -205,13 +205,11 @@ def apply_oracle_xor(
     for level, i_idx, t_idx in resolved:
         # no entry writes an input, so inputs read the same from updated keys
         off, mask = layout.offsets[i_idx], (1 << min(layout.widths[i_idx], oracle.domain_bits)) - 1
-        inputs = [(key >> off) & mask for key in keys]
-        values = sorted(set(inputs))
-        answers = oracle.values_at(level, values, ledger=ledger)
+        answers = oracle.values_at(level, [(key >> off) & mask for key in keys], ledger=ledger)
         if min(answers) < 0 or max(answers) >> layout.widths[t_idx]:
             raise SimulatorError(f"level {level} answered outside register {layout.names[t_idx]!r}")
-        answer, t_off = dict(zip(values, answers)), layout.offsets[t_idx]
-        keys = [key ^ answer[v] << t_off for key, v in zip(keys, inputs)]
+        t_off = layout.offsets[t_idx]
+        keys = [key ^ a << t_off for key, a in zip(keys, answers)]
     amps = dict(zip(keys, state.amps.values()))
     if len(amps) != len(state.amps):
         raise SimulatorError("oracle layer mapped two configs to one")

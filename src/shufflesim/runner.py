@@ -366,6 +366,8 @@ def _cmd_o2h(args) -> None:
     _resolve_common(args, default_trials=2000, n=2, d=2)
     n, d = args.n[0], args.d[0]
     l = args.l
+    if d < 1:  # depth 0 has no hidden round
+        raise SystemExit("o2h needs --d at least 1")
     if not 1 <= l <= d:
         raise SystemExit(f"--l must be in 1..{d}")
     for flag in ("samples", "resamples"):

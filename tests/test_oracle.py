@@ -106,8 +106,9 @@ def test_answer_encoding_roundtrip():
     assert o.answer_bits(0) == 7 and o.answer_bits(1) == 3
 
 
-def test_ledger_counts_classical_and_core():
-    _, o = _oracle(2, 1, 11)
+@pytest.mark.parametrize("backend", ["materialized", "lazy"])
+def test_ledger_counts_classical_and_core(backend):
+    _, o = _oracle(2, 1, 11, backend)
     led = DepthLedger()
     o.query_path(0, led)
     assert led.classical_queries == 1 and led.core_evaluations == 1
@@ -117,8 +118,9 @@ def test_ledger_counts_classical_and_core():
     assert led.core_evaluations == 2
 
 
-def test_domain_guards():
-    _, o = _oracle(2, 1, 14)
+@pytest.mark.parametrize("backend", ["materialized", "lazy"])
+def test_domain_guards(backend):
+    _, o = _oracle(2, 1, 14, backend)
     with pytest.raises(OracleError):
         o.query_point(2, 0)
     with pytest.raises(OracleError):

@@ -210,6 +210,49 @@ def test_oracle_answer_outside_target_width_is_refused(answer):
         qsim.apply_oracle_xor(state, _StubOracle(answer), [(0, "X", "A")])
 
 
+def _repeating_layer(xs, answer_bits):
+    """A state over (X, B, A) whose X reads xs in dict order; B tells repeats apart."""
+    amp = len(xs) ** -0.5
+    return qsim.SparseState(layout_of(X=6, B=2, A=answer_bits), {(x, b, 0): amp for b, x in enumerate(xs)})
+
+
+def _layer_answers(state):
+    return sorted(unpack(state.layout, key) for key in state.amps)
+
+
+def test_layer_hands_the_oracle_every_input_in_state_order(monkeypatch):
+    # the oracle alone dedups and orders a layer's queries
+    rng = make_rng("qsim", "layer-order")
+    oracle = sample_shuffling(sample_simon(2, rng), 1, rng)
+    seen, real = [], oracle._encoded_answers
+    monkeypatch.setattr(oracle, "_encoded_answers", lambda level, xs: seen.append(list(xs)) or real(level, xs))
+    xs = [5, 2, 5, 0]
+    out = qsim.apply_oracle_xor(_repeating_layer(xs, oracle.answer_bits(0)), oracle, [(0, "X", "A")])
+    assert seen == [xs]
+    assert _layer_answers(out) == sorted((x, b, oracle.query_point(0, x)) for b, x in enumerate(xs))
+
+
+def test_layer_counts_each_distinct_core_point_once():
+    rng = make_rng("qsim", "layer-core")
+    oracle = sample_shuffling(sample_simon(2, rng), 1, rng)
+    core = oracle.level_points(1).tolist()
+    off = next(x for x in range(oracle.domain_size) if x not in core)
+    ledger = DepthLedger()
+    state = _repeating_layer([core[1], core[0], core[1], off], oracle.answer_bits(1))
+    qsim.apply_oracle_xor(state, oracle, [(1, "X", "A")], ledger)
+    assert ledger.core_evaluations == 2
+
+
+def test_lazy_layer_reveals_fresh_points_in_state_order():
+    xs = [5, 2, 5, 0]
+    (oracle, _), (twin, _) = _twins(2, 1, "lazy", "layer-order")
+    out = qsim.apply_oracle_xor(_repeating_layer(xs, oracle.answer_bits(0)), oracle, [(0, "X", "A")])
+    distinct = list(dict.fromkeys(xs))
+    given = dict(zip(distinct, twin.values_at(0, distinct)))
+    assert _layer_answers(out) == sorted((x, b, given[x]) for b, x in enumerate(xs))
+    assert oracle._rng.bit_generator.state == twin._rng.bit_generator.state
+
+
 def test_measurement_collapse_one_to_one():
     rng = make_rng("qsim", 3)
     inst = sample_one_to_one(2, rng)

@@ -320,6 +320,7 @@ def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
         (["sweep", "--adversaries", "oracle"], "unknown adversary kind 'oracle'"),
         (["o2h", "--samples", "0"], "--samples must be at least 1"),
         (["o2h", "--resamples", "-1"], "--resamples must be at least 1"),
+        (["o2h", "--n", "2", "--d", "0"], "o2h needs --d at least 1"),
         (["sample-oracle", "--n", "2", "--d", "1", "--paths", "-3", "--backend", "lazy"],
          "--paths must be at least 0"),
         (["solve", "--n", "2", "--d", "1", "--seed", "-1"], "--seed must be at least 0"),
@@ -332,7 +333,7 @@ def test_outputs_match_golden_bytes(golden, argv, tmp_path, monkeypatch):
     ids=[
         "materialized-cap", "zero-trials", "zero-n", "negative-d", "one-oversize-sweep-cell",
         "negative-q", "negative-budget", "zero-rounds", "negative-max-rounds", "no-adversaries",
-        "unknown-adversary", "zero-samples", "negative-resamples", "negative-paths",
+        "unknown-adversary", "zero-samples", "negative-resamples", "o2h-zero-depth", "negative-paths",
         "negative-seed", "negative-seed-o2h", "negative-seed-sample-oracle", "env-negative-seed",
         "env-unknown-backend",
     ],
