@@ -33,6 +33,8 @@ from .oracle import ShufflingOracle
 PRUNE_TOL = 1e-12
 NORM_TOL = 1e-9
 SUPPORT_CAP = 1 << 12
+# past this many dense component entries, fidelity takes sparse dot products
+DENSE_ENTRIES = 1 << 24
 
 
 class SimulatorError(Exception):
@@ -429,6 +431,8 @@ class MixedEnsemble:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("ensemble needs at least one component")
+        if not all(p >= 0 for p, _ in self.components):
+            raise ValueError("ensemble probabilities must be non-negative")
         total = sum(p for p, _ in self.components)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"ensemble probabilities sum to {total}, expected 1")
@@ -462,93 +466,53 @@ def _sparse_dot(a: dict, b: dict) -> complex:
     return sum(np.conj(amp) * b[cfg] for cfg, amp in a.items() if cfg in b)
 
 
-def _joint_components(a: MixedEnsemble, b: MixedEnsemble):
-    """The components' amplitude dicts, a's first, and one row of amplitudes
-    per component over their sorted joint support, or None past 2^24 entries
-    for _span_coords's sparse Gram route: `o2h --n 5 --d 2 --samples 1000`
-    pools 2,000 components over 32,018 keys, about 1 GB dense. The cap
-    guards the quadratic cost of the span solve."""
-    vecs = [s.amps for _, s in a.components] + [s.amps for _, s in b.components]
-    if len(vecs) > SUPPORT_CAP:
-        raise SimulatorError(f"{len(vecs)} components exceed the cap of {SUPPORT_CAP}")
-    union = set().union(*vecs)
-    if len(vecs) * len(union) > 1 << 24:
-        return vecs, None
-    union = sorted(union)
-    index = dict(zip(union, range(len(union))))
-    dense = np.zeros((len(vecs), len(union)), dtype=np.complex128)
-    for row, amps in zip(dense, vecs):
-        row[list(map(index.__getitem__, amps))] = list(amps.values())
-    return vecs, dense
+def _cross_overlaps(a: MixedEnsemble, b: MixedEnsemble):
+    """M_ab[i, j] = sqrt(p_i q_j) <a_i|b_j> and M_ba[j, i] = sqrt(q_j p_i) <b_j|a_i>,
+    each its own product, so swapping a and b swaps the pair bit for bit.
 
-
-def _span_coords(vecs: list[dict], dense: np.ndarray | None, ka: int):
-    """Exact coordinates of the components (the first ka one ensemble's, the
-    rest the other's) in an orthonormal basis of their joint span.
-
-    The span dimension is at most the component count, so pooled ensembles
-    with wide supports stay tractable.
+    The components' rows sit on their sorted joint support, which is the same
+    for either order. Past DENSE_ENTRIES they come from sparse dot products
+    instead: `o2h --n 5 --d 2 --samples 1000` pools 2,000 components over
+    32,018 keys, about 1 GB dense. The cap guards the ka x kb cost.
     """
-    k = len(vecs)
-    if dense is not None:
-        gram = dense @ dense.conj().T
-        gram = (gram + gram.conj().T) / 2
+    va, vb = [s.amps for _, s in a.components], [s.amps for _, s in b.components]
+    k = len(va) + len(vb)
+    if k > SUPPORT_CAP:
+        raise SimulatorError(f"{k} components exceed the cap of {SUPPORT_CAP}")
+    w = np.outer(np.sqrt([p for p, _ in a.components]), np.sqrt([q for q, _ in b.components]))
+    union = set().union(*va, *vb)
+    if k * len(union) > DENSE_ENTRIES:
+        m_ab = np.array([[_sparse_dot(x, y) for y in vb] for x in va], dtype=np.complex128)
+        m_ba = np.array([[_sparse_dot(y, x) for x in va] for y in vb], dtype=np.complex128)
     else:
-        gram = np.empty((k, k), dtype=np.complex128)
-        for i in range(k):
-            for j in range(i, k):
-                gram[i, j] = _sparse_dot(vecs[i], vecs[j])
-                gram[j, i] = np.conj(gram[i, j])
-    w, u = np.linalg.eigh(gram)
-    keep = w > 1e-12
-    basis = u[:, keep] / np.sqrt(w[keep])
-    coords = basis.conj().T @ gram
-    return coords[:, :ka], coords[:, ka:]
-
-
-def _density(coords: np.ndarray, probs) -> np.ndarray:
-    return (coords * np.asarray(probs)) @ coords.conj().T
-
-
-def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh((rho + rho.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    # drop eigensolver noise so it cannot leak into downstream sums
-    w[w < w.max(initial=0.0) * 1e-12] = 0.0
-    return (u * np.sqrt(w)) @ u.conj().T
-
-
-def _fidelity_once(a: MixedEnsemble, b: MixedEnsemble, ca: np.ndarray, cb: np.ndarray) -> float:
-    rho = _density(ca, [p for p, _ in a.components])
-    sigma = _density(cb, [p for p, _ in b.components])
-    # nuclear-norm form of Uhlmann fidelity: spurious singular values enter
-    # linearly instead of through a square root, so they stay ~1e-16
-    sv = np.linalg.svd(_sqrtm_psd(rho) @ _sqrtm_psd(sigma), compute_uv=False)
-    return float(sv.sum())
+        index = dict(zip(sorted(union), range(len(union))))
+        dense = np.zeros((k, len(union)), dtype=np.complex128)
+        for row, amps in zip(dense, va + vb):
+            row[list(map(index.__getitem__, amps))] = list(amps.values())
+        da, db = dense[: len(va)], dense[len(va) :]
+        m_ab, m_ba = da.conj() @ db.T, db.conj() @ da.T
+    return m_ab * w, m_ba * w.T
 
 
 def fidelity(a, b) -> float:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
-    Averaged over both argument orders so the result is exactly symmetric;
-    each one-sided evaluation already agrees to solver precision. The
-    component matrix is built once; the (b, a) order takes its rows
-    permuted, as building it for that order would give, and its own Gram.
+    If rho = X X^H and sigma = Y Y^H, then F(rho, sigma) = ||X^H Y||_1, the
+    sum of its singular values. The weighted components sqrt(p_i)|a_i> and
+    sqrt(q_j)|b_j> are such factors, so F is the nuclear norm of the ka x kb
+    cross overlaps M[i, j] = sqrt(p_i q_j) <a_i|b_j>: no span basis, no matrix
+    square root, no cut-off. The norms of M_ab and M_ba are averaged, so the
+    result is exactly symmetric.
     """
     a, b = _as_ensemble(a), _as_ensemble(b)
+    if a.components[0][1].layout != b.components[0][1].layout:
+        raise SimulatorError("fidelity needs both ensembles on one layout")
     if a is b or a.components == b.components:
         # identical descriptions are the same density matrix; skipping the
-        # solver keeps B(rho, rho) at exactly zero instead of sqrt(eps)
+        # SVD keeps B(rho, rho) at exactly zero instead of sqrt(eps)
         return 1.0
-    vecs, dense = _joint_components(a, b)
-    ka, kb = len(a.components), len(b.components)
-    swap = list(range(ka, ka + kb)) + list(range(ka))
-    f_ab = _fidelity_once(a, b, *_span_coords(vecs, dense, ka))
-    if dense is not None:
-        dense = dense[swap]  # rebound, so at most two copies are alive at once
-    f_ba = _fidelity_once(b, a, *_span_coords([vecs[i] for i in swap], dense, kb))
-    f = (f_ab + f_ba) / 2.0
-    return min(max(f, 0.0), 1.0)
+    f = sum(np.linalg.svd(m, compute_uv=False).sum() for m in _cross_overlaps(a, b)) / 2.0
+    return min(max(float(f), 0.0), 1.0)
 
 
 def bures_distance(a, b) -> float:

@@ -7,8 +7,9 @@ indices, bitfield arithmetic for register extraction, butterfly Hadamards,
 and index-permutation oracle layers. It uses nothing from shufflesim.qsim
 except the layout geometry. The helpers below it build and read layouts
 and sparse states (`layout_of`, `unpack`, `amplitude`, `dense_statevector`),
-reuse qsim's joint-span coordinates (`trace_distance`), or read a
-materialized oracle's tables (`table_answers`).
+compute distance measures from full 2^W density matrices (`dense_density`,
+`trace_distance`, `dense_fidelity`), or read a materialized oracle's tables
+(`table_answers`). None of them reads a private name of qsim.
 """
 
 import numpy as np
@@ -71,14 +72,31 @@ def table_answers(orc, level: int, xs) -> list[int]:
     return [core.get(x, 1 << orc.n) for x in xs]
 
 
+def dense_density(x) -> np.ndarray:
+    """The full 2^W density matrix of a SparseState or MixedEnsemble."""
+    comps = x.components if isinstance(x, qsim.MixedEnsemble) else ((1.0, x),)
+    vecs = np.array([dense_statevector(s) for _, s in comps])
+    return (vecs.T * [p for p, _ in comps]) @ vecs.conj()
+
+
 def trace_distance(a, b) -> float:
     """Half the trace norm of rho - sigma."""
-    a, b = qsim._as_ensemble(a), qsim._as_ensemble(b)
-    ca, cb = qsim._span_coords(*qsim._joint_components(a, b), len(a.components))
-    rho = qsim._density(ca, [p for p, _ in a.components])
-    sigma = qsim._density(cb, [p for p, _ in b.components])
-    w = np.linalg.eigvalsh(rho - sigma)
+    w = np.linalg.eigvalsh(dense_density(a) - dense_density(b))
     return float(np.abs(w).sum() / 2.0)
+
+
+def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
+    # eigenvalues below 1e-12 of the largest are solver noise; clipped to 0
+    w, u = np.linalg.eigh(m)
+    w = np.clip(w, 0.0, None)
+    w[w < w.max() * 1e-12] = 0.0
+    return (u * np.sqrt(w)) @ u.conj().T
+
+
+def dense_fidelity(a, b) -> float:
+    """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1 from full density matrices."""
+    m = _sqrtm_psd(dense_density(a)) @ _sqrtm_psd(dense_density(b))
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 class DenseSim:

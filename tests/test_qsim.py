@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_rng
-from dense_reference import DenseSim, amplitude, dense_statevector, layout_of, offset, trace_distance, unpack
+from dense_reference import (
+    DenseSim, amplitude, dense_fidelity, dense_statevector, layout_of, offset, trace_distance, unpack,
+)
 from shufflesim import qsim
 from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
 from shufflesim.oracle import BOT, OracleError, sample_shuffling
@@ -62,7 +64,7 @@ def _layout_and_configs(draw):
 
 @given(_layout_and_configs())
 def test_packed_keys_round_trip_in_tuple_order(case):
-    # _joint_components orders its columns by sorted keys, and with them
+    # _cross_overlaps puts its rows on the sorted joint support, and with it
     # every bit of tests/golden/o2h.json; that is tuple order
     layout, configs = case
     keys = [layout.pack(cfg) for cfg in configs]
@@ -433,44 +435,10 @@ def test_distance_chain_inequality():
         assert td <= bu + 1e-9
 
 
-def _two_build_coords(a, b):
-    """Reference joint-span coordinates: the component matrix filled config
-    by config, built afresh for this argument order."""
-    vecs = [s.amps for _, s in a.components] + [s.amps for _, s in b.components]
-    union = {cfg for amps in vecs for cfg in amps}
-    index = {cfg: i for i, cfg in enumerate(sorted(union))}
-    dense = np.zeros((len(vecs), len(index)), dtype=np.complex128)
-    for i, amps in enumerate(vecs):
-        for cfg, amp in amps.items():
-            dense[i, index[cfg]] = amp
-    gram = dense @ dense.conj().T
-    gram = (gram + gram.conj().T) / 2
-    w, u = np.linalg.eigh(gram)
-    keep = w > 1e-12
-    coords = (u[:, keep] / np.sqrt(w[keep])).conj().T @ gram
-    ka = len(a.components)
-    return coords[:, :ka], coords[:, ka:]
-
-
-def _two_build_bures(a, b):
-    """Reference Bures distance: one full fidelity solve per argument order."""
-    a, b = qsim._as_ensemble(a), qsim._as_ensemble(b)
-    if a is b or a.components == b.components:
-        return 0.0
-
-    def once(x, y):
-        cx, cy = _two_build_coords(x, y)
-        rho = qsim._density(cx, [p for p, _ in x.components])
-        sigma = qsim._density(cy, [p for p, _ in y.components])
-        return float(np.linalg.svd(qsim._sqrtm_psd(rho) @ qsim._sqrtm_psd(sigma), compute_uv=False).sum())
-
-    f = min(max((once(a, b) + once(b, a)) / 2.0, 0.0), 1.0)
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * f)))
-
-
-def _random_ensemble(layout, rng, pool):
-    # components drawn from a shared pool so supports overlap, with random weights
-    picks = rng.choice(len(pool), size=int(rng.integers(1, 5)), replace=False)
+def _random_ensemble(rng, pool):
+    # components drawn from a shared pool, repeats allowed, so supports
+    # overlap and the density matrix can be rank-deficient; random weights
+    picks = rng.choice(len(pool), size=int(rng.integers(1, 6)))
     weights = rng.random(len(picks)) + 0.1
     weights /= weights.sum()
     comps = [(float(p), pool[i]) for p, i in zip(weights, picks)]
@@ -478,16 +446,55 @@ def _random_ensemble(layout, rng, pool):
     return qsim.MixedEnsemble(tuple(comps))
 
 
-def test_bures_matches_two_build_reference_bit_for_bit():
+def _ensemble_pairs(name, count=100):
     layout = layout_of(r=3, s=2)
-    rng = make_rng("bures-two-build")
+    rng = make_rng(name)
     pool = [random_state(layout, 1000 + i, support=int(rng.integers(1, 12))) for i in range(12)]
-    for _ in range(50):
-        a, b = _random_ensemble(layout, rng, pool), _random_ensemble(layout, rng, pool)
-        assert qsim.bures_distance(a, b) == _two_build_bures(a, b)
-        assert qsim.bures_distance(b, a) == _two_build_bures(b, a)
-    a, b = pool[0], pool[1]
-    assert qsim.bures_distance(a, b) == _two_build_bures(a, b)
+    pairs = [(_random_ensemble(rng, pool), _random_ensemble(rng, pool)) for _ in range(count)]
+    return [(pool[0], pool[1]), (pool[2], qsim.MixedEnsemble.uniform([pool[2]] * 3)), *pairs]
+
+
+def test_fidelity_is_exactly_symmetric():
+    for a, b in _ensemble_pairs("fidelity-symmetry"):
+        assert qsim.fidelity(a, b) == qsim.fidelity(b, a)
+        assert qsim.bures_distance(a, b) == qsim.bures_distance(b, a)
+        assert qsim.bures_distance(a, a) == 0.0
+
+
+def test_fidelity_matches_dense_reference():
+    for a, b in _ensemble_pairs("fidelity-dense"):
+        assert qsim.fidelity(a, b) == pytest.approx(dense_fidelity(a, b), abs=1e-12)
+
+
+def test_sparse_route_matches_dense_route(monkeypatch):
+    # past DENSE_ENTRIES the cross overlaps come from sparse dot products
+    pairs = _ensemble_pairs("sparse-route")
+    dense = [qsim.fidelity(a, b) for a, b in pairs]
+    sparse_dot, calls = qsim._sparse_dot, []
+    monkeypatch.setattr(qsim, "_sparse_dot", lambda x, y: calls.append(1) or sparse_dot(x, y))
+    monkeypatch.setattr(qsim, "DENSE_ENTRIES", 0)
+    for (a, b), f in zip(pairs, dense):
+        calls.clear()
+        assert qsim.fidelity(a, b) == qsim.fidelity(b, a)
+        assert calls
+        assert qsim.fidelity(a, b) == pytest.approx(f, abs=1e-12)
+        assert qsim.fidelity(a, b) == pytest.approx(dense_fidelity(a, b), abs=1e-12)
+
+
+def test_fidelity_refuses_ensembles_on_different_layouts():
+    # key 1 is (1,) on ("a",) and (0, 1) on ("b", "c"): the packed keys collide
+    a = qsim.SparseState(layout_of(a=2), {(1,): 1.0})
+    b = qsim.SparseState(layout_of(b=1, c=1), {(0, 1): 1.0})
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(qsim.SimulatorError, match="one layout"):
+            qsim.bures_distance(x, qsim.MixedEnsemble.pure(y))
+
+
+@pytest.mark.parametrize("p", [-0.5, float("nan")])
+def test_ensemble_refuses_a_negative_probability(p):
+    s, u = _pure_pair(700)
+    with pytest.raises(ValueError, match="non-negative"):
+        qsim.MixedEnsemble(((1.0 - p, s), (p, u)))
 
 
 def test_gram_route_matches_dense_density():
@@ -514,22 +521,6 @@ def test_gram_route_matches_dense_density():
 
         f_dense = float(np.linalg.svd(droot(rho) @ droot(sig), compute_uv=False).sum())
         assert qsim.fidelity(ens_a, ens_b) == pytest.approx(f_dense, abs=1e-9)
-
-
-def test_sparse_gram_route_matches_dense_route():
-    # past 2^24 matrix entries _joint_components returns no dense matrix and
-    # the Gram matrix comes from sparse dot products; both routes agree
-    layout = layout_of(r=3, s=2)
-    rng = make_rng("sparse-gram")
-    pool = [random_state(layout, 1100 + i, support=int(rng.integers(1, 12))) for i in range(12)]
-    for _ in range(100):
-        ens = _random_ensemble(layout, rng, pool), _random_ensemble(layout, rng, pool)
-        for a, b in (ens, ens[::-1]):
-            vecs, dense = qsim._joint_components(a, b)
-            ka = len(a.components)
-            f_dense = qsim._fidelity_once(a, b, *qsim._span_coords(vecs, dense, ka))
-            f_sparse = qsim._fidelity_once(a, b, *qsim._span_coords(vecs, None, ka))
-            assert f_sparse == pytest.approx(f_dense, abs=1e-9)
 
 
 def test_component_cap_refuses_the_span_solve():

@@ -1,7 +1,7 @@
 """Every function, class and method in src/ is used by src/ or bench/, so
 code that only tests call lives in tests/; no src statement assigns another
-object's private attribute; and the names bench/ binds to by string still
-exist."""
+object's private attribute; the dense test reference reads no private qsim
+name; and the names bench/ binds to by string still exist."""
 
 import ast
 import dataclasses
@@ -70,6 +70,20 @@ def test_no_src_statement_assigns_another_objects_private_attribute():
                 and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
             ):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_dense_reference_reads_no_private_qsim_name():
+    # a reference built from the code it checks cannot catch that code's faults
+    tree = ast.parse((ROOT / "tests" / "dense_reference.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "qsim"
+            and node.attr.startswith("_"))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("qsim")
+            and any(alias.name.startswith("_") for alias in node.names))
+    ]
     assert found == []
 
 
