@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +265,30 @@ def test_truncated_probes_a_wide_lazy_domain():
     assert guess in (InstanceKind.SIMON, InstanceKind.ONE_TO_ONE)
     assert led.oracle_layers_total == 1 and led.core_evaluations == 0
     assert led.classical_queries == 8
+
+
+TRUNCATED_DIGEST = "35b8b03da877ac9cec76745b361caa9b2ccfd62c88ec26bbf79e24cc5541a386"
+
+
+def test_truncated_adversary_digest():
+    """Every budget from 0 to 2d+2 on both backends: the guess, the ledger's
+    counts and the generator's next draw are pinned."""
+    digest = hashlib.sha256()
+    for backend in ("materialized", "lazy"):
+        for n in (2, 3):
+            for d in (0, 1, 2):
+                for budget in range(2 * d + 3):
+                    for seed in range(3):
+                        rng = make_rng("trunc-digest", backend, n, d, budget, seed)
+                        inst = simon.sample_decision_instance(n, rng)
+                        orc = oracle.sample_shuffling(inst, d, rng, backend=backend)
+                        guess, led = schemes.truncated_quantum_adversary(orc, budget, rng)
+                        counts = (
+                            led.oracle_layers_total, led.circuits_invoked,
+                            led.classical_queries, led.core_evaluations, led.violations,
+                        )
+                        digest.update(repr((guess.value, counts, int(rng.integers(1 << 30)))).encode())
+    assert digest.hexdigest() == TRUNCATED_DIGEST
 
 
 def test_solver_cq_adversary_decides_within_budget():
