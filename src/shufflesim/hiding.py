@@ -184,6 +184,8 @@ def check_hiding_bound(
         reals.append(psi_f)
         shadows.append(psi_g)
         pfs.append(pf)
+    if not pfs:
+        raise ValueError("hiding bound needs at least one (oracle, hidden sets) pair")
     mean_pf = float(np.mean(pfs))
     lhs = qsim.bures_distance(qsim.MixedEnsemble.uniform(reals), qsim.MixedEnsemble.uniform(shadows))
     rhs = float(np.sqrt(2.0 * mean_pf))
@@ -232,6 +234,8 @@ def check_find_bound(
     if fresh:
         hidden_sets = [sample_hidden_sets(oracle, rng) for _ in range(resamples)]
     pfs = [find_probability(state, oracle, query_spec, h, l) for h in hidden_sets]
+    if not pfs:
+        raise ValueError("find bound needs at least one hidden-set sample")
     mean_pf = float(np.mean(pfs))
     sigma = float(np.std(pfs, ddof=1) / np.sqrt(len(pfs))) if len(pfs) > 1 else 0.0
     bound = q / (1 << oracle.n)

@@ -448,8 +448,7 @@ class MixedEnsemble:
     @classmethod
     def uniform(cls, states) -> "MixedEnsemble":
         states = list(states)
-        p = 1.0 / len(states)
-        return cls(tuple((p, s) for s in states))
+        return cls(tuple((1.0 / len(states), s) for s in states))
 
 
 def _as_ensemble(x) -> MixedEnsemble:

@@ -386,11 +386,9 @@ def _cmd_o2h(args) -> None:
     layout = solver_layout(n, d)
     state = init_uniform(layout, "Q")
     spec = ((l, "Q", f"N{l}"),)
-    pairs = []
-    for _ in range(args.samples):
-        oracle = sampler(rng)
-        pairs.append((oracle, sample_hidden_sets(oracle, rng)))
-    hiding = check_hiding_bound(state, pairs, l, spec)
+    # drawn as the check reaches them, so one oracle is held at a time
+    oracles = (sampler(rng) for _ in range(args.samples))
+    hiding = check_hiding_bound(state, ((o, sample_hidden_sets(o, rng)) for o in oracles), l, spec)
     find = check_find_bound(state, sampler(rng), spec, l, rng, resamples=args.resamples)
 
     report = {

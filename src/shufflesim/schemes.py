@@ -20,7 +20,7 @@ from .ledger import DepthLedger, SchemeBudget
 from .oracle import ShufflingOracle, _draw_uniform
 from .qsim import CircuitProgram
 from .simon import InstanceKind
-from .solver import decide_from_samples, round_program, solve_decision
+from .solver import decide_from_samples, round_program, solve_decision, solver_layout
 
 TRUNCATED_PROBES = 8
 
@@ -121,26 +121,26 @@ def truncated_quantum_adversary(
     below the core, and the guess degrades to a fair coin. One extra layer
     lets the chase read the core once at a measured input Q; TRUNCATED_PROBES
     path probes then decide Simon on any collision with each other or with Q.
-    A 2d+1 budget runs the full decision procedure.
+    A 2d+1 budget runs the full decision procedure. Every budget runs in
+    the d-CQ harness, whose ledger refuses a layer, circuit or probe past it.
     """
     n, d = oracle.n, oracle.d
-    ledger = DepthLedger()
     if budget_depth >= 2 * d + 1:
-        return solve_decision(oracle, n + 10, rng, ledger), ledger
-    layers = min(budget_depth, d + 1)
-    chase = round_program(n, d)
-    prefix = CircuitProgram(chase.layout, chase.ops[: 1 + layers])
-    observed = qsim.run_program(prefix.measure_all(), oracle, rng, ledger).outcomes
-    if layers <= d:
-        for k in range(TRUNCATED_PROBES if d else 0):
-            oracle.query_point(k % d, _draw_uniform(rng, oracle.domain_size), ledger)
-        guess = InstanceKind.SIMON if rng.integers(2) == 0 else InstanceKind.ONE_TO_ONE
-        return guess, ledger
-    seen = {oracle.decode_answer(d, observed[f"N{d}"]): observed["Q"]}
-    path_final = lambda x: oracle.query_path(x, ledger).final
-    if _collision_probe(path_final, n, TRUNCATED_PROBES, rng, seen) is not None:
-        return InstanceKind.SIMON, ledger
-    return InstanceKind.ONE_TO_ONE, ledger
+        solve = lambda caps, rng: solve_decision(oracle, n + 10, rng, caps.ledger)
+        return run_d_cq(solve, oracle, SchemeBudget(depth=2 * d + 1, circuits=n + 10), rng)
+    prefix = CircuitProgram(solver_layout(n, d), round_program(n, d).ops[: 1 + min(budget_depth, d + 1)])
+
+    def adversary(caps: CircuitSchemeCaps, rng: np.random.Generator) -> InstanceKind:
+        observed = caps.run_circuit(prefix)
+        if budget_depth <= d:
+            for k in range(TRUNCATED_PROBES if d else 0):
+                caps.query(k % d, _draw_uniform(rng, oracle.domain_size))
+            return InstanceKind.SIMON if rng.integers(2) == 0 else InstanceKind.ONE_TO_ONE
+        seen = {oracle.decode_answer(d, observed[f"N{d}"]): observed["Q"]}
+        hit = _collision_probe(lambda x: caps.path(x).final, n, TRUNCATED_PROBES, rng, seen)
+        return InstanceKind.ONE_TO_ONE if hit is None else InstanceKind.SIMON
+
+    return run_d_cq(adversary, oracle, SchemeBudget(budget_depth, 1, TRUNCATED_PROBES), rng)
 
 
 def _banked(program: CircuitProgram, banks: int) -> CircuitProgram:

@@ -293,6 +293,20 @@ def test_find_bound_flags_dependent_state():
     assert not rep.holds
 
 
+def test_bounds_refuse_an_empty_sample():
+    # no mean is taken over nothing: each check refuses before averaging
+    rng = make_rng("fb-empty")
+    orc = _simon_oracle(2, 1, rng)
+    layout = qsim.RegisterLayout(("X", "A"), (orc.domain_bits, orc.n + 1))
+    state = _uniform_over_domain(layout, "X")
+    with pytest.raises(ValueError, match="at least one"):
+        hiding.check_hiding_bound(state, iter(()), 1, [(1, "X", "A")])
+    with pytest.raises(ValueError, match="at least one"):
+        hiding.check_find_bound(state, orc, [(1, "X", "A")], 1, rng, hidden_sets=[])
+    with pytest.raises(ValueError, match="at least one"):
+        hiding.check_find_bound(state, orc, [(1, "X", "A")], 1, rng, resamples=0)
+
+
 def test_membership_density_at_round_one():
     rng = make_rng("member-one")
     sampler = lambda r: oracle.sample_shuffling(simon.sample_simon(2, r), 1, r)

@@ -497,6 +497,11 @@ def test_ensemble_refuses_a_negative_probability(p):
         qsim.MixedEnsemble(((1.0 - p, s), (p, u)))
 
 
+def test_uniform_ensemble_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="at least one component"):
+        qsim.MixedEnsemble.uniform([])
+
+
 def test_gram_route_matches_dense_density():
     # fidelity via component Gram matrices equals the dense-matrix computation
     layout = layout_of(r=3)

@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -247,6 +249,27 @@ def test_o2h_refuses_the_lazy_backend(monkeypatch):
         runner.main(["o2h", "--n", "2", "--d", "2", "--backend", "lazy"])
     assert "needs the materialized backend" in str(exc.value)
     assert "\n" not in str(exc.value)
+
+
+def test_o2h_holds_one_sampled_oracle_at_a_time(monkeypatch, capsys):
+    # the hiding check draws each (oracle, hidden sets) pair when it reaches
+    # it, so a draw finds at most the previous pair's oracle still alive
+    alive, counts = weakref.WeakSet(), []
+    real = runner.sample_shuffling
+
+    def tracked(*args, **kwargs):
+        oracle = real(*args, **kwargs)
+        alive.add(oracle)
+        gc.collect()
+        counts.append(len(alive))
+        return oracle
+
+    monkeypatch.setattr(runner, "sample_shuffling", tracked)
+    argv = ["o2h", "--n", "2", "--d", "1", "--trials", "3", "--samples", "6", "--resamples", "2", "--seed", "3"]
+    assert runner.main(argv) == 0
+    assert len(counts) == 3 + 6 + 1
+    assert max(counts) <= 2
+    assert json.loads(capsys.readouterr().out)["hiding"]["samples"] == 6
 
 
 def test_sample_oracle_dump(tmp_path):

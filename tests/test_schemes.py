@@ -291,6 +291,28 @@ def test_truncated_adversary_digest():
     assert digest.hexdigest() == TRUNCATED_DIGEST
 
 
+def test_truncated_budget_is_held_by_the_ledger(monkeypatch):
+    # the harness ledger carries the caps, so a probe past them is refused
+    n, d = 3, 1
+    rng = make_rng("trunc-ledger")
+    orc = _mixed_oracle(n, d, rng)
+    for budget in range(2 * d + 3):
+        _, led = schemes.truncated_quantum_adversary(orc, budget, rng)
+        if budget <= 2 * d:
+            assert led.budget == schemes.SchemeBudget(budget, 1, schemes.TRUNCATED_PROBES)
+        else:
+            assert led.budget == schemes.SchemeBudget(2 * d + 1, n + 10, None)
+
+    def one_probe_more(path_final, n, q, rng, seen):
+        for x in range(q + 1):
+            path_final(x % (1 << n))
+
+    monkeypatch.setattr(schemes, "_collision_probe", one_probe_more)
+    with pytest.raises(DepthViolation, match="classical query budget of 8") as exc:
+        schemes.truncated_quantum_adversary(orc, d + 1, rng)
+    assert exc.value.ledger.classical_queries == schemes.TRUNCATED_PROBES
+
+
 def test_solver_cq_adversary_decides_within_budget():
     rng = make_rng("cq-solve")
     for _ in range(20):

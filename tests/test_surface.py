@@ -21,7 +21,6 @@ SRC = sorted((ROOT / "src" / "shufflesim").glob("*.py"))
 ALLOWED = {
     "gf2.dot": "tests/test_acceptance.py checks sampled j against the shift with it",
     "RegisterLayout.total_width": "tests/test_acceptance.py reads the solver layout's width",
-    "_CapsBase.query": "the d-CQ/d-QC schemes' classical point-query capability",
 }
 
 
