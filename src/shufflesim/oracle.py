@@ -194,8 +194,8 @@ class ShufflingOracle:
         (`IncrementalInjection.reveal`), refusing the whole layer before any
         draw if a refutation makes one point's reveal inexact, and answers
         core points that walk back to a root from the instance table, which
-        keeps that stream and every answer. A refused layer, at any level,
-        leaves no link, refutation or draw behind.
+        keeps that stream and every answer. A layer at any level is refused
+        before it draws, whatever its points' order, and leaves nothing behind.
 
         Every answer given is final, on every backend: asking for the same
         points again returns the same answers, draws nothing and commits
@@ -285,9 +285,9 @@ class MaterializedShufflingOracle(ShufflingOracle):
 
 class LazyShufflingOracle(ShufflingOracle):
     """Backend that reveals the injections on demand. Its revealed links and
-    refutations are its whole record, and every answer is read from them: a
-    link is never undone once an answer has read it, and a refutation never
-    lifted (a refused layer undoes only its own work, and answers nothing)."""
+    refutations are its whole record, and every answer is read from them.
+    The record only grows: a layer is refused before it draws, and a link is
+    never undone nor a refutation lifted."""
 
     def __init__(self, instance: SimonInstance, d: int, rng: np.random.Generator) -> None:
         super().__init__(instance, d)
@@ -324,32 +324,25 @@ class LazyShufflingOracle(ShufflingOracle):
     def _core_answers(self, points: list[int]) -> dict[int, int]:
         # A point whose revealed links walk back to a root has that root's
         # value and draws nothing (a refuted point never gains a preimage, so
-        # no such walk meets one); the others are resolved in order, and one
-        # already answered is refuted or walks back off the roots, so it too
-        # is answered bot without a draw. Resolving one never changes a
-        # walked point's answer: it only adds links and refutations off the
-        # revealed chains.
+        # no such walk meets one); the others are resolved in first-seen
+        # order, and one already answered is refuted or walks back off the
+        # roots, so it too is answered bot without a draw. Resolving one never
+        # changes a walked point's answer: it only adds links and refutations
+        # off the revealed chains.
         reached = points
         for t in reversed(range(self.d)):
             reached = list(map(self._levels[t].rev.get, reached))
         walked = {x: r for x, r in zip(points, reached) if r is not None and r < 1 << self.n}
         given = dict(zip(walked, self.instance.table[list(walked.values())].tolist()))
         rest = [x for x in points if x not in given]
-        # A refused point refuses the layer: undo the links, refutations and
-        # draws of the points before it (a lone point is refused before any).
-        saved = None
-        if len(rest) > 1:
-            links = [(dict(inj.fwd), dict(inj.rev)) for inj in self._levels]
-            saved = links, {j: set(b) for j, b in self._banned.items()}, self._rng.bit_generator.state
-        try:
-            for x in rest:
-                given[x] = self.encode_answer(self.d, self._resolve_core(x))
-        except OracleError:
-            if saved is not None:
-                links, self._banned, self._rng.bit_generator.state = saved
-                for inj, (fwd, rev) in zip(self._levels, links):
-                    inj.fwd, inj.rev = fwd, rev
-            raise
+        # Refuse the layer once, before any draw: resolving a point only grows
+        # the images, and a link it adds at a level t >= 1 leaves a level-t image,
+        # so the check at the highest stop of a fresh, unrefuted walk holds for all.
+        stops = [self._walk_back(self.d, x) for x in rest]
+        open_levels = [t for t, p in stops if t and p not in self._banned[t]]
+        self._check_unweaved(max(open_levels, default=0))
+        for x in rest:
+            given[x] = self.encode_answer(self.d, self._resolve_core(x))
         return given
 
     def _walk_back(self, level: int, point: int) -> tuple[int, int]:
@@ -404,7 +397,8 @@ class LazyShufflingOracle(ShufflingOracle):
             return self.instance.value(point) if point < (1 << self.n) else BOT
         if point in self._banned[level]:
             return BOT
-        self._check_unweaved(level)
+        # Callers have checked exchangeability: _core_answers per layer before
+        # it draws, and _answer reaches only a path query's walked points.
         # Each root's chain point at `level`, None past its first unrevealed link.
         reached = list(range(1 << self.n))
         for t in range(level):

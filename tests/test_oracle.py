@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -185,6 +187,59 @@ def test_backends_agree_in_distribution():
     chi2 = float(np.sum((a[keep] - b[keep]) ** 2 / (a[keep] + b[keep])))
     df = int(keep.sum()) - 1
     assert chi2 < df + 4 * np.sqrt(2 * df)
+
+
+# -- exact reference at n=1, d=1 ---------------------------------------------
+
+# Query sequences of (level, points) layers and ("path", root) chases: a bulk
+# core probe with a repeat (routing and refutation draws), chases from both
+# roots past its refutations and a second core probe; and an off-chain
+# level-0 reveal before any refutation, then a core probe and one chase.
+EXACT_SEQUENCES = (
+    ((1, [5, 6, 5]), ("path", 0), (1, [3, 4, 6]), ("path", 1)),
+    ((0, [5]), (1, [6, 2, 6]), ("path", 1)),
+)
+
+
+def _exact_law(table, ops):
+    """Answer tuples of `ops` over all 8! tables f_0 of the 3-bit domain, each
+    with its count: the exact law, read off the definition, not the oracle.
+    A core answer off the image of the roots is bot, encoded as 2."""
+    law = Counter()
+    for f0 in itertools.permutations(range(8)):
+        core = {f0[0]: table[0], f0[1]: table[1]}
+        answers = []
+        for level, arg in ops:
+            if level == "path":
+                answers += [f0[arg], table[arg]]
+            else:
+                answers += [f0[x] if level == 0 else core.get(x, 2) for x in arg]
+        law[tuple(answers)] += 1
+    return law
+
+
+@pytest.mark.parametrize("sample", [sample_simon, sample_one_to_one])
+@pytest.mark.parametrize("ops", EXACT_SEQUENCES)
+def test_lazy_answers_follow_the_exact_law(sample, ops):
+    """The lazy backend's answers to a fixed sequence on a fixed instance,
+    over fresh generators, fit the enumerated law: no tuple outside its
+    support, and a chi-square statistic within df + 6 sqrt(2 df)."""
+    inst = sample(1, np.random.default_rng(0))
+    law = _exact_law(inst.table.tolist(), ops)
+    runs = 8000
+    seen = Counter()
+    for seed in range(runs):
+        o = LazyShufflingOracle(inst, 1, np.random.default_rng(seed))
+        answers = []
+        for level, arg in ops:
+            answers += o.query_path(arg).points[1:] if level == "path" else o.values_at(level, arg)
+        seen[tuple(answers)] += 1
+    assert set(seen) <= set(law)
+    expected = runs * np.array(list(law.values())) / 40320
+    observed = np.array([seen[cell] for cell in law])
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    df = len(law) - 1
+    assert chi2 < df + 6 * np.sqrt(2 * df)
 
 
 # -- lazy backend exactness guards -------------------------------------------
@@ -502,9 +557,9 @@ def test_lazy_refused_bulk_layer_reveals_nothing():
 
 
 def test_lazy_refused_core_layer_reveals_nothing():
-    # the mid-level probe f_1(11) = 2 is off every chain; the core layer's
-    # first fresh points resolve (one refutes 11 at level 1) before a later
-    # one is refused as entangled, and the refusal must undo what they did
+    # the mid-level probe f_1(11) = 2 is off every chain; the core layer
+    # holds fresh points whose walks stop at level 2, so it is refused as
+    # entangled before any of its points draws, and leaves nothing behind
     def lazy():
         rng = np.random.default_rng(11)
         o = sample_shuffling(sample_simon(1, rng), 2, rng, backend="lazy")
@@ -517,6 +572,23 @@ def test_lazy_refused_core_layer_reveals_nothing():
     assert _record(o) == _record(twin)
     assert [o.query_path(x).points for x in range(2)] == [twin.query_path(x).points for x in range(2)]
     assert _record(o) == _record(twin)
+
+
+def test_lazy_core_layer_refusal_ignores_point_order():
+    # y = f_1(11) walks back to the mid-level probe at 11 and z = y + 1 has
+    # no revealed preimage, so the layer is refused in either order, before
+    # any draw: the refusal does not hang on whether routing y links a root
+    # to 11 first
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        o = sample_shuffling(sample_simon(1, rng), 2, rng, backend="lazy")
+        y = o.query_point(1, 11)
+        z = (y + 1) % 16
+        record = _record(o)
+        for xs in ([y, z], [z, y]):
+            with pytest.raises(OracleError, match="entangled with mid-level probe reveals"):
+                o.values_at(2, xs)
+            assert _record(o) == record
 
 
 @pytest.mark.parametrize("d, level", [(d, level) for d in range(3) for level in range(d + 1)])

@@ -1,6 +1,7 @@
 """Every function, class and method in src/ is used by src/ or bench/, so
 code that only tests call lives in tests/; no src statement assigns another
-object's private attribute; the dense test reference reads no private qsim
+object's private attribute; no src statement rewinds a generator or replaces
+the lazy oracle's links; the dense test reference reads no private qsim
 name; and the names bench/ binds to by string still exist."""
 
 import ast
@@ -70,6 +71,28 @@ def test_no_src_statement_assigns_another_objects_private_attribute():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_lazy_record_only_grows():
+    # a refused layer draws nothing, so no src statement rewinds a generator,
+    # and only IncrementalInjection writes its links, adding them one by one
+    rewinds, relinks = [], []
+    for path in SRC:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                # an attribute, or an item of one, that a statement stores or deletes
+                if not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+                    continue
+                target = node.value if isinstance(node, ast.Subscript) else node
+                if not isinstance(target, ast.Attribute):
+                    continue
+                owner = getattr(target.value, "attr", None)
+                if target.attr == "state" and owner == "bit_generator":
+                    rewinds.append(f"{path.name}:{node.lineno}")
+                if target.attr in ("fwd", "rev") and getattr(top, "name", None) != "IncrementalInjection":
+                    relinks.append(f"{path.name}:{node.lineno}")
+    assert rewinds == []
+    assert relinks == []
 
 
 def test_dense_reference_reads_no_private_qsim_name():
