@@ -12,8 +12,10 @@ Interpreter runs them, charging each oracle layer to the ledger, which
 enforces the run's budget. A program's ops before its first measurement are
 run once per oracle; later runs read back the states they left.
 
-Ops build states from valid ones without the full config check. The Hadamard
-and measurement kernels add terms in a term-by-term loop's order and match it.
+Ops build states from valid ones without the full config check. States are
+never mutated, so a state keeps each register's marginal once it is built,
+and measuring a kept state again only draws and collapses. The Hadamard and
+the marginal add terms in a term-by-term loop's order and match it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,15 +93,26 @@ class RegisterLayout:
         return key
 
 
+class Marginal(NamedTuple):
+    """One register's Born-rule law on one state. Bin i holds the configs whose
+    register value is outcomes[i]; np.bincount sums each bin's |a|^2 in dict
+    order (np.unique would need values that fit 64 bits)."""
+
+    bins: np.ndarray  # each config's bin, in dict order
+    weights: np.ndarray  # each bin's summed |a|^2
+    outcomes: list[int]  # the register's values, ascending
+    cumulative: np.ndarray  # running sum of the normalized weights
+
+
 class SparseState:
     """Normalized pure state over a layout, sparse in the computational basis;
-    `amps` maps packed config keys (see RegisterLayout) to amplitudes."""
+    `amps` maps packed config keys (see RegisterLayout) to amplitudes. A state
+    is never mutated, so it keeps the marginal of each register it is asked for."""
 
-    __slots__ = ("layout", "amps")
+    __slots__ = ("layout", "amps", "_marginals")
 
     def __init__(self, layout: RegisterLayout, amps: dict[tuple[int, ...], complex]):
         """From config tuples, which are checked against the layout, then packed."""
-        self.layout = layout
         amps = {cfg: complex(a) for cfg, a in amps.items() if abs(a) > PRUNE_TOL}
         if set(map(len, amps)) - {len(layout.names)}:
             cfg = next(c for c in amps if len(c) != len(layout.names))
@@ -107,7 +121,7 @@ class SparseState:
             if min(col) < 0 or max(col) >= 1 << w:
                 cfg = next(c for c in amps if not 0 <= c[i] < 1 << w)
                 raise SimulatorError(f"config {cfg} out of range for widths {layout.widths}")
-        self.amps = dict(zip(map(layout.pack, amps), amps.values()))
+        self._hold(layout, dict(zip(map(layout.pack, amps), amps.values())))
         self._check_norm()
 
     @classmethod
@@ -115,10 +129,13 @@ class SparseState:
         """For amps an op built from a valid state (packed in-range keys,
         complex values above PRUNE_TOL), so at most the norm is checked."""
         state = object.__new__(cls)
-        state.layout, state.amps = layout, amps
+        state._hold(layout, amps)
         if check_norm:
             state._check_norm()
         return state
+
+    def _hold(self, layout: RegisterLayout, amps: dict) -> None:
+        self.layout, self.amps, self._marginals = layout, amps, {}
 
     def _check_norm(self) -> None:
         norm = self.norm()
@@ -133,8 +150,21 @@ class SparseState:
         return len(self.amps)
 
     def register_values(self, name: str) -> set[int]:
-        off, mask = self.layout.field(name)
-        return {(key >> off) & mask for key in self.amps}
+        return set(self.marginal(name).outcomes)
+
+    def marginal(self, register: str) -> Marginal:
+        """The register's marginal, built on first use and kept with the state."""
+        kept = self._marginals.get(register)
+        if kept is None:
+            off, mask = self.layout.field(register)
+            values = [(key >> off) & mask for key in self.amps]
+            outcomes = sorted(set(values))
+            rank = dict(zip(outcomes, range(len(outcomes))))
+            bins = np.fromiter(map(rank.__getitem__, values), dtype=np.intp, count=len(values))
+            weights = np.bincount(bins, weights=[abs(a) ** 2 for a in self.amps.values()])
+            cumulative = np.cumsum(weights / weights.sum())
+            kept = self._marginals[register] = Marginal(bins, weights, outcomes, cumulative)
+        return kept
 
 
 def basis_state(layout: RegisterLayout) -> SparseState:
@@ -259,21 +289,16 @@ def measure_register(
     """Born-rule measurement of one register; returns (outcome, collapsed).
 
     Outcomes are enumerated in sorted order, so a fixed generator state fixes
-    the outcome; re-measuring the same register is then deterministic.
-    np.bincount sums the marginal in dict order, over bins numbered by first
-    appearance (np.unique would need values that fit 64 bits).
+    the outcome; re-measuring the same register is then deterministic. The
+    state's kept marginal (SparseState.marginal) gives the outcomes and their
+    running probabilities, so this only draws, searches and collapses.
     """
-    (off, mask), bin_of = state.layout.field(register), {}
-    bins = np.array([bin_of.setdefault((key >> off) & mask, len(bin_of)) for key in state.amps])
-    marginal = np.bincount(bins, weights=[abs(a) ** 2 for a in state.amps.values()])
-    outcomes = sorted(bin_of)
-    probs = marginal[[bin_of[v] for v in outcomes]]
-    probs = probs / probs.sum()
-    pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    outcome = outcomes[min(pick, len(outcomes) - 1)]
-    scale = 1.0 / np.sqrt(marginal[bin_of[outcome]])
-    keep = {c: a * scale for c, a in compress(state.amps.items(), (bins == bin_of[outcome]).tolist())}
-    return outcome, SparseState._trusted(state.layout, keep)
+    law = state.marginal(register)
+    pick = int(np.searchsorted(law.cumulative, rng.random(), side="right"))
+    pick = min(pick, len(law.outcomes) - 1)
+    scale = 1.0 / np.sqrt(law.weights[pick])
+    keep = {c: a * scale for c, a in compress(state.amps.items(), (law.bins == pick).tolist())}
+    return law.outcomes[pick], SparseState._trusted(state.layout, keep)
 
 
 # -- circuit programs --------------------------------------------------------

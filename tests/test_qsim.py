@@ -15,7 +15,7 @@ from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
 from shufflesim.oracle import BOT, OracleError, sample_shuffling
 from shufflesim.schemes import CircuitSchemeCaps
 from shufflesim.simon import sample_one_to_one, sample_simon
-from shufflesim.solver import round_program, solver_layout
+from shufflesim.solver import round_program, run_simon_round, solver_layout
 
 
 def small_layout():
@@ -391,6 +391,60 @@ def test_measure_kernel_matches_dict_reference():
                         assert list(got[1].amps.items()) == list(want[1].amps.items())
 
 
+def _wide_repeated_state(seed):
+    """Twelve configs over three values of a 70-bit register (each above 2^64)
+    and four of `r`, so every register's values repeat."""
+    layout = layout_of(r=2, w=70, b=3)
+    rng = make_rng("wide", seed)
+    wide = [1 << 69 | int(v) for v in rng.integers(1 << 62, size=3)]
+    amps = {}
+    for r in range(4):
+        for b in rng.choice(8, size=3, replace=False).tolist():
+            amps[(r, wide[(r + b) % 3], b)] = complex(rng.normal(), rng.normal())
+    norm = np.sqrt(sum(abs(x) ** 2 for x in amps.values()))
+    return qsim.SparseState(layout, {k: a / norm for k, a in amps.items()})
+
+
+def test_measuring_a_state_twice_matches_a_fresh_reference():
+    # the first measurement keeps the marginal that the second one reads
+    for seed in range(4):
+        state = _wide_repeated_state(seed)
+        assert min(state.register_values("w")) >> 64 and len(state.register_values("r")) == 4
+        for reg in ("r", "w", "b"):
+            for draw in range(3):
+                once, twice = (qsim.measure_register(state, reg, make_rng("twice", seed, reg, draw)) for _ in range(2))
+                fresh = qsim.SparseState(state.layout, {unpack(state.layout, k): a for k, a in state.amps.items()})
+                want = _loop_measure(fresh, reg, make_rng("twice", seed, reg, draw))
+                for got in (once, twice):
+                    assert got[0] == want[0]
+                    assert list(got[1].amps.items()) == list(want[1].amps.items())
+
+
+def test_kept_marginals_die_with_their_states():
+    # the kept prefixes go with their oracles, tested above
+    def module_containers():
+        return {name: len(v) for name, v in vars(qsim).items()
+                if isinstance(v, (dict, list, set, weakref.WeakKeyDictionary))
+                and name not in ("__builtins__", "_prefixes")}
+
+    def live_marginals():
+        gc.collect()
+        return sum(isinstance(o, qsim.Marginal) for o in gc.get_objects())
+
+    layout = layout_of(a=3, b=4)
+    live = live_marginals()
+    held = module_containers()
+    state = random_state(layout, 5000)
+    qsim.measure_register(state, "a", make_rng("lifetime", 500))
+    assert live_marginals() == live + 1
+    for seed in range(500):
+        state = random_state(layout, 5001 + seed)
+        qsim.measure_register(state, "a", make_rng("lifetime", seed))
+    del state
+    assert live_marginals() <= live
+    assert module_containers() == held
+
+
 # -- distances ---------------------------------------------------------------
 
 
@@ -653,6 +707,24 @@ def test_prefixes_go_with_their_oracle():
     gc.collect()
     assert alive() is None
     assert len(qsim._prefixes) < held
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_steady_round_reuses_the_kept_core_marginal(monkeypatch, d):
+    # the core measurement reads the kept chase state, whose marginal the
+    # first round built; at d >= 1 the uncompute checks of N0..N{d-1} read
+    # the one config left after measuring Q
+    n = 6
+    (orc, rng), _ = _twins(n, d, "lazy", "steady-marginal")
+    built, real = [], qsim.Marginal
+    monkeypatch.setattr(qsim, "Marginal", lambda *fields: built.append(len(fields[0])) or real(*fields))
+    rounds = []
+    for _ in range(3):
+        built.clear()
+        run_simon_round(orc, rng)
+        rounds.append(list(built))
+    assert rounds[0] == [1 << n, 1 << (n - 1)] + [1] * d
+    assert rounds[1] == rounds[2] == [1 << (n - 1)] + [1] * d
 
 
 def test_replayed_prefix_still_initializes_after_many_other_programs():
