@@ -115,14 +115,9 @@ def find_probability(
     the squared mass of configurations whose round-l-or-deeper query slots
     hold hidden points."""
     hit = np.zeros(len(state.amps), dtype=bool)
-    inputs: dict[str, np.ndarray] = {}
     for level, in_reg, _ in query_spec:
         if level >= l:
-            if in_reg not in inputs:
-                off, mask = state.layout.field(in_reg)
-                mask &= oracle.domain_size - 1
-                inputs[in_reg] = np.array([(key >> off) & mask for key in state.amps], dtype=np.int64)
-            hit |= hidden.members(level, l, inputs[in_reg])
+            hit |= hidden.members(level, l, state.column(in_reg, oracle.domain_bits))
     # abs() and a left-to-right loop in dict order, for the bits of a per-config loop
     total = 0.0
     for amp in compress(state.amps.values(), hit.tolist()):

@@ -263,7 +263,7 @@ class MaterializedShufflingOracle(ShufflingOracle):
         super().__init__(instance, d)
         check_materialized_cap(self.domain_bits)
         size = self.domain_size
-        self.tables = [rng.permutation(size).astype(np.int64) for _ in range(d)]
+        self.tables = [rng.permutation(size).astype(np.int64, copy=False) for _ in range(d)]
         points = np.arange(1 << self.n, dtype=np.int64)
         self._level_points = [points]
         for table in self.tables:

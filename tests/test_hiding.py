@@ -244,6 +244,35 @@ def test_hiding_bound_small_sweep():
             assert rep.lhs_bures <= np.sqrt(2 * rep.mean_p_find) + 1e-9
 
 
+def test_o2h_checks_unpack_the_query_state_once():
+    # the pairs' real and shadow layers and every find probability read one
+    # kept X column; each unpacking shifts every key of the state once
+    shifts = []
+
+    class Key(int):
+        def __rshift__(self, off):
+            shifts.append(off)
+            return int(self) >> off
+
+    n, d, l = 2, 2, 1
+    bits = (d + 2) * n
+    layout = qsim.RegisterLayout(("X", "A0", "A1", "A2"), (bits, bits + 1, bits + 1, n + 1))
+    spec = [(i, "X", f"A{i}") for i in range(d + 1)]
+    plain = _uniform_over_domain(layout, "X")
+    state = qsim.SparseState._trusted(layout, {Key(k): a for k, a in plain.amps.items()})
+    rng = make_rng("unpack-once")
+    pairs = []
+    for _ in range(4):
+        orc = _simon_oracle(n, d, rng)
+        pairs.append((orc, hiding.sample_hidden_sets(orc, rng)))
+    reports = [hiding.check_hiding_bound(s, pairs, l, spec) for s in (state, plain)]
+    assert len(shifts) == len(state.amps)
+    assert reports[0] == reports[1]
+    find = hiding.check_find_bound(state, pairs[0][0], spec, l, make_rng("unpack-once", 1), resamples=5)
+    assert len(shifts) == len(state.amps)
+    assert find == hiding.check_find_bound(plain, pairs[0][0], spec, l, make_rng("unpack-once", 1), resamples=5)
+
+
 def test_find_bound_single_slot_is_exact():
     rng = make_rng("fb-one")
     orc = _simon_oracle(2, 1, rng)

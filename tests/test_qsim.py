@@ -10,7 +10,7 @@ from conftest import make_rng
 from dense_reference import (
     DenseSim, amplitude, dense_fidelity, dense_statevector, layout_of, offset, trace_distance, unpack,
 )
-from shufflesim import qsim
+from shufflesim import hiding, qsim
 from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
 from shufflesim.oracle import BOT, OracleError, sample_shuffling
 from shufflesim.schemes import CircuitSchemeCaps
@@ -64,8 +64,8 @@ def _layout_and_configs(draw):
 
 @given(_layout_and_configs())
 def test_packed_keys_round_trip_in_tuple_order(case):
-    # _cross_overlaps puts its rows on the sorted joint support, and with it
-    # every bit of tests/golden/o2h.json; that is tuple order
+    # int order on keys is tuple order on configs, so the sorted joint
+    # support of fidelity's dense route does not depend on how keys pack
     layout, configs = case
     keys = [layout.pack(cfg) for cfg in configs]
     assert [unpack(layout, key) for key in keys] == configs
@@ -420,20 +420,21 @@ def test_measuring_a_state_twice_matches_a_fresh_reference():
                     assert list(got[1].amps.items()) == list(want[1].amps.items())
 
 
-def test_kept_marginals_die_with_their_states():
-    # the kept prefixes go with their oracles, tested above
-    def module_containers():
-        return {name: len(v) for name, v in vars(qsim).items()
-                if isinstance(v, (dict, list, set, weakref.WeakKeyDictionary))
-                and name not in ("__builtins__", "_prefixes")}
+def _module_containers():
+    # the kept prefixes go with their oracles, tested below
+    return {name: len(v) for name, v in vars(qsim).items()
+            if isinstance(v, (dict, list, set, weakref.WeakKeyDictionary))
+            and name not in ("__builtins__", "_prefixes")}
 
+
+def test_kept_marginals_die_with_their_states():
     def live_marginals():
         gc.collect()
         return sum(isinstance(o, qsim.Marginal) for o in gc.get_objects())
 
     layout = layout_of(a=3, b=4)
     live = live_marginals()
-    held = module_containers()
+    held = _module_containers()
     state = random_state(layout, 5000)
     qsim.measure_register(state, "a", make_rng("lifetime", 500))
     assert live_marginals() == live + 1
@@ -442,7 +443,24 @@ def test_kept_marginals_die_with_their_states():
         qsim.measure_register(state, "a", make_rng("lifetime", seed))
     del state
     assert live_marginals() <= live
-    assert module_containers() == held
+    assert _module_containers() == held
+
+
+def test_kept_columns_die_with_their_states():
+    layout = layout_of(a=3, b=4)
+    held = _module_containers()
+    columns = []
+    for seed in range(500):
+        state = random_state(layout, 6000 + seed)
+        col = state.column("b", 2)
+        assert state.column("b", 2) is col and not col.flags.writeable
+        assert col.tolist() == [unpack(layout, key)[1] & 3 for key in state.amps]
+        columns.append(weakref.ref(col))
+    assert columns[-1]() is not None
+    del state, col
+    gc.collect()
+    assert not any(ref() for ref in columns)
+    assert _module_containers() == held
 
 
 # -- distances ---------------------------------------------------------------
@@ -520,19 +538,55 @@ def test_fidelity_matches_dense_reference():
         assert qsim.fidelity(a, b) == pytest.approx(dense_fidelity(a, b), abs=1e-12)
 
 
-def test_sparse_route_matches_dense_route(monkeypatch):
-    # past DENSE_ENTRIES the cross overlaps come from sparse dot products
-    pairs = _ensemble_pairs("sparse-route")
-    dense = [qsim.fidelity(a, b) for a, b in pairs]
-    sparse_dot, calls = qsim._sparse_dot, []
-    monkeypatch.setattr(qsim, "_sparse_dot", lambda x, y: calls.append(1) or sparse_dot(x, y))
-    monkeypatch.setattr(qsim, "DENSE_ENTRIES", 0)
-    for (a, b), f in zip(pairs, dense):
-        calls.clear()
-        assert qsim.fidelity(a, b) == qsim.fidelity(b, a)
-        assert calls
-        assert qsim.fidelity(a, b) == pytest.approx(f, abs=1e-12)
-        assert qsim.fidelity(a, b) == pytest.approx(dense_fidelity(a, b), abs=1e-12)
+def _pooled_real_and_shadow(pairs, seed):
+    # the O2H lab's pooled ensembles at n=1, d=1 (9 bits): both levels
+    # queried from a uniform X under real oracles and their round-1 shadows
+    layout = qsim.RegisterLayout(("X", "A0", "A1"), (3, 4, 2))
+    state, rng = qsim.init_uniform(layout, "X"), make_rng("pooled", seed)
+    spec = [(0, "X", "A0"), (1, "X", "A1")]
+    reals, shadows = [], []
+    for _ in range(pairs):
+        orc = sample_shuffling(sample_simon(1, rng), 1, rng)
+        reals.append(qsim.apply_oracle_xor(state, orc, spec))
+        shadows.append(qsim.apply_oracle_xor(state, hiding.ShadowOracle(orc, hiding.sample_hidden_sets(orc, rng), 1), spec))
+    return qsim.MixedEnsemble.uniform(reals), qsim.MixedEnsemble.uniform(shadows)
+
+
+def _shared_support_ensemble(count, seed):
+    layout, rng = layout_of(r=6), make_rng("shared-support", seed)
+    states = []
+    for _ in range(count):
+        amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+        amps /= np.linalg.norm(amps)
+        states.append(qsim.SparseState(layout, {(v,): a for v, a in enumerate(amps.tolist())}))
+    return qsim.MixedEnsemble.uniform(states)
+
+
+def _matched_pairs(a, b):
+    keys = [k for _, s in a.components for k in s.amps]
+    return sum(keys.count(k) for _, s in b.components for k in s.amps)
+
+
+@pytest.mark.parametrize("case", ["pooled", "shared-support", "multi-block"])
+def test_fidelity_routes_match_the_dense_reference(monkeypatch, case):
+    # few matched key pairs take the join, blocked by JOIN_BLOCK; many
+    # components on one support take the dense product
+    if case == "shared-support":
+        a, b = _shared_support_ensemble(300, 0), _shared_support_ensemble(300, 1)
+    else:
+        a, b = _pooled_real_and_shadow(8, 0)
+    one_block = qsim.fidelity(a, b)
+    joins, join = [], qsim._join
+    monkeypatch.setattr(qsim, "_join", lambda *args: joins.append(1) or join(*args))
+    if case == "multi-block":
+        monkeypatch.setattr(qsim, "JOIN_BLOCK", 3)
+        assert _matched_pairs(a, b) > 20 * qsim.JOIN_BLOCK
+    f = qsim.fidelity(a, b)
+    assert f == qsim.fidelity(b, a)
+    assert f == pytest.approx(dense_fidelity(a, b), abs=1e-12)
+    assert len(joins) == (0 if case == "shared-support" else 4)
+    # blocks add in the order one block does, so they change no bit
+    assert f == one_block
 
 
 def test_fidelity_refuses_ensembles_on_different_layouts():
