@@ -538,6 +538,21 @@ def test_fidelity_matches_dense_reference():
         assert qsim.fidelity(a, b) == pytest.approx(dense_fidelity(a, b), abs=1e-12)
 
 
+def test_sparse_route_matches_dense_route(monkeypatch):
+    # past DENSE_ENTRIES the cross overlaps come from the key join
+    pairs = _ensemble_pairs("sparse-route")
+    default = [qsim.fidelity(a, b) for a, b in pairs]
+    join, calls = qsim._join, []
+    monkeypatch.setattr(qsim, "_join", lambda *args: calls.append(1) or join(*args))
+    monkeypatch.setattr(qsim, "DENSE_ENTRIES", 0)
+    for (a, b), f in zip(pairs, default):
+        calls.clear()
+        assert qsim.fidelity(a, b) == qsim.fidelity(b, a)
+        assert calls
+        assert qsim.fidelity(a, b) == pytest.approx(f, abs=1e-12)
+        assert qsim.fidelity(a, b) == pytest.approx(dense_fidelity(a, b), abs=1e-12)
+
+
 def _pooled_real_and_shadow(pairs, seed):
     # the O2H lab's pooled ensembles at n=1, d=1 (9 bits): both levels
     # queried from a uniform X under real oracles and their round-1 shadows
