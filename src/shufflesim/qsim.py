@@ -44,6 +44,8 @@ SUPPORT_CAP = 1 << 12
 DENSE_ENTRIES = 1 << 24
 # the most matched key pairs fidelity's join expands at once
 JOIN_BLOCK = 1 << 20
+# the most group-by-output amplitudes one Hadamard may hold
+HADAMARD_ENTRIES = 1 << 24
 
 
 class SimulatorError(Exception):
@@ -284,12 +286,16 @@ def hadamard_register(state: SparseState, register: str) -> SparseState:
     """Hadamard on every qubit of one register. Each group of configs that
     agree off the register sums its 2^w outputs in one array row, members in
     input order (np.add.at is unbuffered); outputs are listed by first-seen
-    group, then ascending j. Values and order are a term-by-term loop's."""
+    group, then ascending j. Values and order are a term-by-term loop's.
+    Refused when the groups' outputs would pass HADAMARD_ENTRIES."""
     off, mask = state.layout.field(register)
     w, rest = state.layout.width(register), ~(mask << off)
     groups: dict[int, int] = {}
     member_group = np.array([groups.setdefault(key & rest, len(groups)) for key in state.amps])
-    values = np.array([(key >> off) & mask for key in state.amps])[:, None]
+    if len(groups) << w > HADAMARD_ENTRIES:
+        raise SimulatorError(f"a Hadamard on {register!r} would hold {len(groups)} x 2^{w} outputs, "
+                             f"past the cap of {HADAMARD_ENTRIES}")
+    values = state.column(register)[:, None]
     amps = np.array(list(state.amps.values()), dtype=complex)[:, None]
     row, acc = _hadamard_row(w), np.zeros((len(groups), 1 << w), dtype=complex)
     step = max(1, (1 << 16) >> w)  # bounds the members-by-outputs block of terms
@@ -334,8 +340,22 @@ class CircuitProgram:
     ops: tuple
 
     def measure_all(self) -> "CircuitProgram":
-        """This program, then a measurement of every register in layout order."""
-        return CircuitProgram(self.layout, self.ops + tuple(("measure", r) for r in self.layout.names))
+        """This program, then a measurement, in layout order, of every register
+        still unmeasured since its last write. A write is a uniform, a
+        Hadamard or an oracle target; an oracle input is only read, so a
+        register measured and then only read keeps its outcome. The solver
+        round (`cq-solver`) measures N_d mid-circuit and Q last, so it gains
+        only N0..N{d-1}, which its uncompute wrote."""
+        settled: set[str] = set()
+        for kind, arg in self.ops:
+            if kind == "measure":
+                settled.add(arg)
+            elif kind == "oracle":
+                settled.difference_update(target for _, _, target in arg)
+            else:
+                settled.discard(arg)
+        final = tuple(("measure", r) for r in self.layout.names if r not in settled)
+        return CircuitProgram(self.layout, self.ops + final)
 
 
 @functools.cache

@@ -43,7 +43,9 @@ class CircuitSchemeCaps(_CapsBase):
     """Capabilities handed to a circuit-per-invocation adversary."""
 
     def run_circuit(self, program: CircuitProgram) -> dict[str, int]:
-        """Run one circuit, then measure every register in layout order."""
+        """Run one circuit, then measure in layout order each register it left
+        unmeasured since its last write (CircuitProgram.measure_all); the
+        solver round's N_d, measured mid-circuit, keeps that outcome."""
         return qsim.run_program(program.measure_all(), self._oracle, self._rng, self.ledger).outcomes
 
 
@@ -159,12 +161,12 @@ def _banked(program: CircuitProgram, banks: int) -> CircuitProgram:
 
 
 def solver_cq_decision_adversary(n: int, d: int, rounds: int):
-    """The solver phrased as a circuit-scheme adversary: `rounds` circuits of
-    depth 2d+1, then classical elimination and path confirmation."""
+    """The solver phrased as a circuit-scheme adversary: `rounds` runs of the
+    solver's round program, each one circuit of depth 2d+1 that measures the
+    core register mid-circuit, then classical elimination and path
+    confirmation."""
 
-    # deferred measurement: the harness measures every register at the end
-    solver = round_program(n, d)
-    program = CircuitProgram(solver.layout, tuple(op for op in solver.ops if op[0] != "measure"))
+    program = round_program(n, d)
 
     def adversary(caps: CircuitSchemeCaps, rng: np.random.Generator) -> InstanceKind:
         rows = [caps.run_circuit(program)["Q"] for _ in range(rounds)]

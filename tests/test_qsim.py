@@ -127,6 +127,20 @@ def test_hadamard_involution_random_states():
         assert qsim.hadamard_register(s, "b").norm() == pytest.approx(1.0)
 
 
+def test_hadamard_refuses_an_output_block_past_the_cap(monkeypatch):
+    # refused before the groups-by-2^w block is allocated
+    wide = qsim.SparseState(layout_of(r=25), {(0,): 1.0})
+    with pytest.raises(qsim.SimulatorError, match=r"'r' would hold 1 x 2\^25 outputs, past the cap of 16777216"):
+        qsim.hadamard_register(wide, "r")
+    # two groups of 2^2 outputs sit at a cap of 8; a third group passes it
+    monkeypatch.setattr(qsim, "HADAMARD_ENTRIES", 8)
+    layout = layout_of(g=2, h=2)
+    assert qsim.hadamard_register(qsim.SparseState(layout, {(0, 0): 0.6, (1, 0): 0.8}), "h").support_size == 8
+    three = qsim.SparseState(layout, {(g, 0): 3 ** -0.5 for g in range(3)})
+    with pytest.raises(qsim.SimulatorError, match=r"3 x 2\^2 outputs, past the cap of 8"):
+        qsim.hadamard_register(three, "h")
+
+
 def _forward_state(oracle, layout):
     state = qsim.init_uniform(layout, "Q")
     return qsim.apply_oracle_xor(state, oracle, [(0, "Q", "N0")])
@@ -662,8 +676,8 @@ def test_component_cap_refuses_the_span_solve():
 
 
 def _solver_programs(n, d):
-    """The round program, the CQ solver's deferred program with its
-    measurements, and the truncated adversary's longest prefix."""
+    """The round program, a test-only copy of it with every measurement moved
+    to the end, and the truncated adversary's longest prefix."""
     chase = round_program(n, d)
     deferred = qsim.CircuitProgram(chase.layout, tuple(op for op in chase.ops if op[0] != "measure"))
     truncated = qsim.CircuitProgram(chase.layout, chase.ops[: 2 + d])
@@ -712,7 +726,8 @@ def test_reused_prefix_equals_a_rerun(monkeypatch, backend, n, d):
             assert memo_ledger == plain_ledger
             assert memo_rng.bit_generator.state == plain_rng.bit_generator.state
     # each program's prefix ran once: the chase of d+1 layers, the whole
-    # 2d+1-layer deferred program, the truncated d+1 layers; rounds uncompute
+    # 2d+1 layers of the test-only copy that measures only at the end, the
+    # truncated d+1 layers; rounds uncompute
     assert counts["plain"] == 5 * (5 * d + 3)
     assert counts["memo"] == 5 * (5 * d + 3) - 4 * (4 * d + 3)
 
@@ -809,3 +824,22 @@ def test_replayed_prefix_still_initializes_after_many_other_programs():
         name = f"R{i}"
         caps.run_circuit(qsim.CircuitProgram(qsim.RegisterLayout((name,), (1,)), (("uniform", name),)))
     assert set(caps.run_circuit(program)) == {"A", "B"}
+
+
+def test_measure_all_skips_registers_measured_since_their_last_write():
+    def final(layout, *ops):
+        return qsim.CircuitProgram(layout, ops).measure_all().ops[len(ops):]
+
+    m = lambda r: ("measure", r)
+    one, two = layout_of(A=2), layout_of(A=2, B=3)
+    assert final(one, ("uniform", "A"), m("A")) == ()
+    assert final(one, ("uniform", "A"), m("A"), ("hadamard", "A")) == (m("A"),)
+    # an oracle input is only read; its target is written
+    layer = ("oracle", ((0, "A", "B"),))
+    assert final(two, ("uniform", "A"), m("A"), layer) == (m("B"),)
+    assert final(two, ("uniform", "A"), layer, m("B"), m("A"), layer) == (m("B"),)
+    # a register neither written nor measured is measured
+    assert final(two, ("uniform", "A")) == (m("A"), m("B"))
+    # the solver round measured Q and N2 itself; N0 and N1 were uncomputed
+    solver = round_program(3, 2)
+    assert final(solver.layout, *solver.ops) == (m("N0"), m("N1"))

@@ -329,6 +329,35 @@ def test_solver_cq_adversary_decides_within_budget():
         assert led.oracle_layers_total == 36
 
 
+@pytest.mark.parametrize("n,d,backend", [(3, 1, "materialized"), (4, 2, "materialized"), (12, 2, "lazy")])
+def test_cq_solver_runs_the_round_program(monkeypatch, n, d, backend):
+    # the core register is measured mid-circuit, so the Hadamard on Q sees
+    # the at most 2 configs left, never Q's whole uniform superposition
+    real = qsim.hadamard_register
+
+    def small_hadamard(state, register):
+        if state.support_size > 2:
+            raise AssertionError(f"Hadamard on {state.support_size} configs")
+        return real(state, register)
+
+    monkeypatch.setattr(qsim, "hadamard_register", small_hadamard)
+    rng = make_rng("cq-round-program", n, d, backend)
+    rounds = n + 10
+    for sample in (simon.sample_simon, simon.sample_one_to_one):
+        inst = sample(n, rng)
+        orc = oracle.sample_shuffling(inst, d, rng, backend=backend)
+        got, led = schemes.run_d_cq(
+            schemes.solver_cq_decision_adversary(n, d, rounds),
+            orc,
+            schemes.SchemeBudget(depth=2 * d + 1, circuits=rounds),
+            rng,
+        )
+        assert got is inst.kind
+        assert led.circuits_invoked == rounds
+        # the budget caps each circuit at 2d+1 layers, so each ran exactly 2d+1
+        assert led.oracle_layers_total == rounds * (2 * d + 1)
+
+
 def test_solver_qc_adversary_decides_in_one_computation():
     # parallel banks share each layer, so total depth stays 2d+1
     rng = make_rng("qc-solve")
