@@ -199,8 +199,8 @@ class ShufflingOracle:
 
         Every answer given is final, on every backend: asking for the same
         points again returns the same answers, draws nothing and commits
-        nothing. qsim.run_program depends on it to reuse a program's states
-        before its first measurement instead of asking again.
+        nothing. qsim.Interpreter depends on it to keep a register group's
+        states before its first measurement instead of asking again.
         """
         self._check_level(level)
         for x in (min(xs), max(xs)) if len(xs) else ():

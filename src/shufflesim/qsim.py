@@ -7,10 +7,9 @@ values, register 0 in the most significant bits, so a register is read as
 The solver's access pattern keeps the support polynomial, so no dense 2^W
 vector is ever built. Oracle answers are XORed into target registers (a basis
 permutation), Hadamard layers act on one register, and measurement collapses
-one register by the Born rule. A CircuitProgram lists such ops, and one
-Interpreter runs them, charging each oracle layer to the ledger, which
-enforces the run's budget. A program's ops before its first measurement are
-run once per oracle; later runs read back the states they left.
+one register by the Born rule. One Interpreter runs a CircuitProgram's ops,
+charges each oracle layer to the ledger, which enforces the run's budget, and
+keeps each register group's states before its first measurement per oracle.
 
 Ops build states from valid ones without the full config check. States are
 never mutated, so a state keeps each register column it is read by (each
@@ -24,6 +23,7 @@ overlap's terms in one argument's dict order and needs no sorted support.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
@@ -146,6 +146,14 @@ class SparseState:
     def _hold(self, layout: RegisterLayout, amps: dict) -> None:
         self.layout, self.amps, self._columns, self._marginals = layout, amps, {}, {}
 
+    def _renamed(self, layout: RegisterLayout) -> "SparseState":
+        """This state on a same-width layout, sharing amps and kept caches."""
+        if layout is self.layout or layout == self.layout:
+            return self
+        state = copy.copy(self)
+        state.layout = layout
+        return state
+
     def _check_norm(self) -> None:
         norm = self.norm()
         if abs(norm - 1.0) > NORM_TOL:
@@ -168,17 +176,18 @@ class SparseState:
         off, mask = self.layout.field(register)
         if bits is not None:
             mask &= (1 << bits) - 1
-        kept = self._columns.get((register, mask))
+        kept = self._columns.get((off, mask))
         if kept is None:
             values = [(key >> off) & mask for key in self.amps]
             kept = np.array(values, dtype=np.int64 if mask < 1 << 63 else object)
             kept.setflags(write=False)
-            self._columns[(register, mask)] = kept
+            self._columns[(off, mask)] = kept
         return kept
 
     def marginal(self, register: str) -> Marginal:
         """The register's marginal, built on first use and kept with the state."""
-        kept = self._marginals.get(register)
+        field = self.layout.field(register)
+        kept = self._marginals.get(field)
         if kept is None:
             values = self.column(register).tolist()
             outcomes = sorted(set(values))
@@ -186,7 +195,7 @@ class SparseState:
             bins = np.fromiter(map(rank.__getitem__, values), dtype=np.intp, count=len(values))
             weights = np.bincount(bins, weights=[abs(a) ** 2 for a in self.amps.values()])
             cumulative = np.cumsum(weights / weights.sum())
-            kept = self._marginals[register] = Marginal(bins, weights, outcomes, cumulative)
+            kept = self._marginals[field] = Marginal(bins, weights, outcomes, cumulative)
         return kept
 
 
@@ -339,13 +348,14 @@ class CircuitProgram:
     layout: RegisterLayout
     ops: tuple
 
+    @functools.cache
     def measure_all(self) -> "CircuitProgram":
         """This program, then a measurement, in layout order, of every register
         still unmeasured since its last write. A write is a uniform, a
         Hadamard or an oracle target; an oracle input is only read, so a
         register measured and then only read keeps its outcome. The solver
         round (`cq-solver`) measures N_d mid-circuit and Q last, so it gains
-        only N0..N{d-1}, which its uncompute wrote."""
+        only N0..N{d-1}, which its uncompute wrote. Built once per program."""
         settled: set[str] = set()
         for kind, arg in self.ops:
             if kind == "measure":
@@ -379,20 +389,22 @@ class Interpreter:
     registers that never interact cost the sum, not the product, of their
     supports. The program's oracle ops fix the groups; an oracle entry
     coupling registers the program never links is refused. Each oracle layer
-    is validated, then charged to the ledger (which enforces the budget),
-    then answered; a refused layer leaves every group as it was. A group is
-    unused while it holds its initial state, as ops never mutate a state, so
-    run_program may hand a later run the states an earlier one reached.
-    Equal programs share those initial states for the life of the process
-    (`_linked_groups` is never evicted), so a state handed on stays
-    recognisably initial however many programs run in between."""
+    is validated, charged to the ledger (which enforces the budget), then
+    answered; a refused layer leaves every group as it was. Until measured, a
+    group's state depends only on the oracle, its widths and its ops so far,
+    registers by position (its path, empty while it is fresh): they draw
+    nothing, and oracle answers are final (ShufflingOracle.values_at). So
+    each state a group reaches is kept per oracle with its step's core hits,
+    and a group on that path reads it back, charged the layer, then the hits."""
 
     def __init__(
         self, program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger
     ) -> None:
         self._layout, self._oracle, self._rng, self.ledger = program.layout, oracle, rng, ledger
-        self._group_of, self._fresh = _linked_groups(program)
-        self.states = list(self._fresh)
+        self._group_of, fresh = _linked_groups(program)
+        self.states = list(fresh)
+        self._paths: list[tuple | None] = [()] * len(fresh)  # None once measured
+        self._kept = _steps.setdefault(oracle, {})
         self.outcomes: dict[str, int] = {}
 
     def _group(self, name: str) -> int:
@@ -402,17 +414,14 @@ class Interpreter:
 
     def uniform(self, name: str) -> None:
         g = self._group(name)
-        if self.states[g] is not self._fresh[g]:
+        if self._paths[g] != ():
             raise SimulatorError(f"register {name!r} or one linked to it is in use; cannot reinitialize")
-        self.states[g] = init_uniform(self.states[g].layout, name)
+        self._advance("uniform", {g: name}, lambda state, name: init_uniform(state.layout, name))
 
     def hadamard(self, name: str) -> None:
-        g = self._group(name)
-        self.states[g] = hadamard_register(self.states[g], name)
+        self._advance("hadamard", {self._group(name): name}, hadamard_register)
 
     def oracle_layer(self, query_spec) -> None:
-        # every group is answered before any is stored, so a layer refused
-        # by the spec, the ledger or the oracle leaves no answer behind
         _validate_query_spec(self._layout, self._oracle, query_spec)
         by_group: dict[int, list] = {}
         for entry in query_spec:
@@ -421,14 +430,33 @@ class Interpreter:
                 raise SimulatorError(f"registers {entry[1]!r} and {entry[2]!r} are not linked by the program")
             by_group.setdefault(g, []).append(entry)
         self.ledger.record_oracle_layer()
-        answered = [(g, apply_oracle_xor(self.states[g], self._oracle, entries, self.ledger))
-                    for g, entries in by_group.items()]
-        for g, state in answered:
-            self.states[g] = state
+        self._advance("oracle", by_group, lambda state, spec: apply_oracle_xor(state, self._oracle, spec, self.ledger))
+
+    def _advance(self, kind: str, args: dict, step) -> None:
+        """Set each group g to step(state, args[g]), or read back its path's kept
+        state, once all are answered (a refused layer changes none); keep new steps."""
+        states, paths = list(self.states), list(self._paths)
+        for g, arg in args.items():
+            state, path = self.states[g], self._paths[g]
+            if path is not None:  # registers by position, so banks share paths
+                at = state.layout.names.index
+                positional = tuple([(lvl, at(a), at(b)) for lvl, a, b in arg]) if kind == "oracle" else at(arg)
+                path += ((kind, positional),)
+            kept = None if path is None else self._kept.get((state.layout.widths, path))
+            if kept is None:
+                before = self.ledger.core_evaluations
+                kept = step(state, arg), self.ledger.core_evaluations - before
+                if path is not None:
+                    self._kept[(state.layout.widths, path)] = kept
+            else:
+                self.ledger.record_core(kept[1])
+            states[g], paths[g] = kept[0]._renamed(state.layout), path
+        self.states, self._paths = states, paths
 
     def measure(self, name: str) -> int:
         g = self._group(name)
         self.outcomes[name], self.states[g] = measure_register(self.states[g], name, self._rng)
+        self._paths[g] = None
         return self.outcomes[name]
 
     def register_values(self, name: str) -> set[int]:
@@ -446,45 +474,17 @@ class Interpreter:
         return self.outcomes
 
 
-# Per oracle, each program's group states after its ops before the first
-# measurement, and the core hits of each oracle layer among those ops; an
-# entry goes when its oracle does.
-_prefixes: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# Per oracle: (group widths, path) -> (state, its step's core hits); goes with the oracle.
+_steps: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def run_program(
     program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger
 ) -> Interpreter:
-    """Run a program as one circuit invocation; returns the interpreter that ran it.
-
-    The ops before the first measurement run once per oracle. They draw
-    nothing from `rng`, and every oracle answer they read is final once given
-    (see ShufflingOracle.values_at), so running them again would give the
-    same states and core hits and change nothing. A later run of an equal
-    program on the same oracle reads those states back and charges each of
-    their oracle layers in order, the layer then its core hits, so a budget
-    refuses the same layer with the same ledger as a run would. A run
-    refused before its first measurement stores nothing.
-    """
+    """Run a program as one circuit invocation; returns the interpreter that ran it."""
     ledger.record_circuit()
     machine = Interpreter(program, oracle, rng, ledger)
-    cut = next((i for i, (kind, _) in enumerate(program.ops) if kind == "measure"), len(program.ops))
-    kept = _prefixes.get(oracle, {}).get(program)
-    if kept is None:
-        hits = []
-        for op in program.ops[:cut]:
-            before = ledger.core_evaluations
-            machine.run((op,))
-            if op[0] == "oracle":
-                hits.append(ledger.core_evaluations - before)
-        _prefixes.setdefault(oracle, {})[program] = tuple(machine.states), tuple(hits)
-    else:
-        states, hits = kept
-        for count in hits:
-            ledger.record_oracle_layer()
-            ledger.record_core(count)
-        machine.states = list(states)
-    machine.run(program.ops[cut:])
+    machine.run(program.ops)
     return machine
 
 

@@ -22,6 +22,28 @@ def make_rng(*key):
     return np.random.default_rng(np.random.SeedSequence(ints))
 
 
+class _KeepsNothing(dict):
+    """Stands in for qsim's step store and for each oracle's entry in it:
+    it stays empty, and setdefault hands back this dict itself."""
+
+    def __setitem__(self, key, value):
+        pass
+
+    def setdefault(self, key, default=None):
+        return self
+
+
+def store_free(run, *args):
+    """run(*args) with qsim's step store swapped out for one that keeps
+    nothing, so every interpreter it builds computes each of its ops: the
+    reference a run that reads kept steps back is checked against."""
+    from shufflesim import qsim
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsim, "_steps", _KeepsNothing())
+        return run(*args)
+
+
 def cli_env(extra=None):
     """Environment for a `python -m shufflesim` child process.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_rng
+from conftest import make_rng, store_free
 from dense_reference import (
     DenseSim, amplitude, dense_fidelity, dense_statevector, layout_of, offset, trace_distance, unpack,
 )
@@ -435,10 +435,10 @@ def test_measuring_a_state_twice_matches_a_fresh_reference():
 
 
 def _module_containers():
-    # the kept prefixes go with their oracles, tested below
+    # the kept steps go with their oracles, tested below
     return {name: len(v) for name, v in vars(qsim).items()
             if isinstance(v, (dict, list, set, weakref.WeakKeyDictionary))
-            and name not in ("__builtins__", "_prefixes")}
+            and name not in ("__builtins__", "_steps")}
 
 
 def test_kept_marginals_die_with_their_states():
@@ -672,7 +672,7 @@ def test_component_cap_refuses_the_span_solve():
         qsim.bures_distance(many, zero)
 
 
-# -- prefix reuse (run_program) ----------------------------------------------
+# -- kept steps (Interpreter) ------------------------------------------------
 
 
 def _solver_programs(n, d):
@@ -684,11 +684,8 @@ def _solver_programs(n, d):
     return chase, deferred.measure_all(), truncated.measure_all()
 
 
-def _run_unmemoized(program, oracle, rng, ledger):
-    ledger.record_circuit()
-    machine = qsim.Interpreter(program, oracle, rng, ledger)
-    machine.run(program.ops)
-    return machine
+def _reference(program, oracle, rng, ledger):
+    return store_free(qsim.run_program, program, oracle, rng, ledger)
 
 
 def _twins(n, d, backend, *key):
@@ -701,6 +698,10 @@ def _count_layers(monkeypatch):
     real = qsim.apply_oracle_xor
     monkeypatch.setattr(qsim, "apply_oracle_xor", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     return calls
+
+
+def _kept_paths(oracle):
+    return sorted(path for _, path in qsim._steps.get(oracle, {}))
 
 
 @pytest.mark.parametrize("backend", ["materialized", "lazy"])
@@ -716,8 +717,9 @@ def test_reused_prefix_equals_a_rerun(monkeypatch, backend, n, d):
             memo = qsim.run_program(program, memo_orc, memo_rng, memo_ledger)
             counts["memo"] += len(calls) - before
             before = len(calls)
-            plain = _run_unmemoized(program, plain_orc, plain_rng, plain_ledger)
+            plain = _reference(program, plain_orc, plain_rng, plain_ledger)
             counts["plain"] += len(calls) - before
+            assert plain_orc not in qsim._steps
             assert memo.outcomes == plain.outcomes
             # a linked group's state sits at its first register; the rest hold None
             assert [s and (s.layout, list(s.amps.items())) for s in memo.states] == [
@@ -725,23 +727,31 @@ def test_reused_prefix_equals_a_rerun(monkeypatch, backend, n, d):
             ]
             assert memo_ledger == plain_ledger
             assert memo_rng.bit_generator.state == plain_rng.bit_generator.state
-    # each program's prefix ran once: the chase of d+1 layers, the whole
-    # 2d+1 layers of the test-only copy that measures only at the end, the
-    # truncated d+1 layers; rounds uncompute
+    # each step before a measurement ran once: the round's chase of d+1
+    # layers, then the d uncompute layers of the test-only copy that
+    # measures only at the end (the truncated prefix is the chase); every
+    # round uncomputes after its core measurement, d layers each time
     assert counts["plain"] == 5 * (5 * d + 3)
-    assert counts["memo"] == 5 * (5 * d + 3) - 4 * (4 * d + 3)
+    assert counts["memo"] == (d + 1) + d + 5 * d
 
 
 def test_prefix_refused_by_the_budget_is_not_stored(monkeypatch):
+    # the layers before the refused one were answered and are kept; the
+    # refused layer is not, so a rerun computes it and nothing else
     n, d = 3, 2
     _, deferred, _ = _solver_programs(n, d)
-    (orc, rng), _ = _twins(n, d, "lazy", "budget")
+    (orc, rng), (plain_orc, plain_rng) = _twins(n, d, "lazy", "budget")
     calls = _count_layers(monkeypatch)
-    with pytest.raises(DepthViolation, match="depth budget of 4 layers"):
-        qsim.run_program(deferred, orc, rng, DepthLedger(budget=SchemeBudget(depth=2 * d)))
-    assert len(calls) == 2 * d
-    assert orc not in qsim._prefixes
-    for computed in (2 * d + 1, 0):
+    refused = []
+    for run, o, r in ((qsim.run_program, orc, rng), (_reference, plain_orc, plain_rng)):
+        ledger = DepthLedger(budget=SchemeBudget(depth=2 * d))
+        with pytest.raises(DepthViolation, match="depth budget of 4 layers"):
+            run(deferred, o, r, ledger)
+        refused.append(ledger)
+    assert refused[0] == refused[1]
+    assert len(calls) == 2 * (2 * d)
+    assert list(map(len, _kept_paths(orc))) == list(range(1, 2 * d + 2))
+    for computed in (1, 0):
         before = len(calls)
         qsim.run_program(deferred, orc, rng, DepthLedger())
         assert len(calls) - before == computed
@@ -759,7 +769,8 @@ def test_prefix_refused_by_the_lazy_oracle_is_not_stored(monkeypatch):
         with pytest.raises(OracleError, match="off-chain reveal"):
             qsim.run_program(program, orc, rng, DepthLedger())
         assert len(calls) == tries
-    assert orc not in qsim._prefixes
+    # U's group is alone until the refused layer links it to V
+    assert _kept_paths(orc) == [(("uniform", 0),)]
 
 
 @pytest.mark.parametrize("backend", ["materialized", "lazy"])
@@ -769,9 +780,9 @@ def test_replay_refused_by_the_budget_matches_a_rerun(backend):
     (memo_orc, memo_rng), (plain_orc, plain_rng) = _twins(n, d, backend, "replay-refused")
     for program, depth in ((deferred, 2 * d), (round_, d)):
         qsim.run_program(program, memo_orc, memo_rng, DepthLedger())
-        _run_unmemoized(program, plain_orc, plain_rng, DepthLedger())
+        _reference(program, plain_orc, plain_rng, DepthLedger())
         refused = []
-        for run, orc, rng in ((qsim.run_program, memo_orc, memo_rng), (_run_unmemoized, plain_orc, plain_rng)):
+        for run, orc, rng in ((qsim.run_program, memo_orc, memo_rng), (_reference, plain_orc, plain_rng)):
             ledger = DepthLedger(budget=SchemeBudget(depth=depth))
             with pytest.raises(DepthViolation) as err:
                 run(program, orc, rng, ledger)
@@ -785,12 +796,15 @@ def test_replay_refused_by_the_budget_matches_a_rerun(backend):
 def test_prefixes_go_with_their_oracle():
     (orc, rng), _ = _twins(3, 1, "lazy", "lifetime")
     qsim.run_program(round_program(3, 1), orc, rng, DepthLedger())
-    assert round_program(3, 1) in qsim._prefixes[orc]
-    held, alive = len(qsim._prefixes), weakref.ref(orc)
+    chase = (("uniform", 0), ("oracle", ((0, 0, 1),)), ("oracle", ((1, 1, 2),)))
+    assert (round_program(3, 1).layout.widths, chase) in qsim._steps[orc]
+    # the chase's three steps; the core measurement ends the path
+    assert len(qsim._steps[orc]) == 3
+    held, alive = len(qsim._steps), weakref.ref(orc)
     del orc
     gc.collect()
     assert alive() is None
-    assert len(qsim._prefixes) < held
+    assert len(qsim._steps) < held
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])

@@ -8,7 +8,7 @@ from shufflesim import oracle, qsim, schemes, simon, solver
 from shufflesim.ledger import DepthLedger, DepthViolation
 from shufflesim.simon import InstanceKind
 
-from conftest import make_rng
+from conftest import make_rng, store_free
 
 
 def cq_classical_adversary(q):
@@ -373,6 +373,64 @@ def test_solver_qc_adversary_decides_in_one_computation():
         assert got is inst.kind
         assert led.oracle_layers_total == 3
         assert led.circuits_invoked == 1
+
+
+@pytest.mark.parametrize("n,d,backend", [(3, 1, "materialized"), (4, 2, "materialized"), (12, 2, "lazy")])
+def test_qc_solver_banks_read_back_one_chase(monkeypatch, n, d, backend):
+    # every bank runs the same chase, so the first computes it and the rest
+    # read its steps back under their own names, N_d's marginal included;
+    # the uncompute follows a measurement and runs once per bank
+    rounds = n + 10
+    calls, built, reading, outcomes = [], [], [], []
+    real_xor, real_marginal, real_law = qsim.apply_oracle_xor, qsim.SparseState.marginal, qsim.Marginal
+    real_run = schemes.PersistentSchemeCaps.run
+
+    def marginal(state, register):
+        reading.append(register)
+        try:
+            return real_marginal(state, register)
+        finally:
+            reading.pop()
+
+    monkeypatch.setattr(qsim, "apply_oracle_xor", lambda *a, **kw: calls.append(1) or real_xor(*a, **kw))
+    monkeypatch.setattr(qsim.SparseState, "marginal", marginal)
+    monkeypatch.setattr(qsim, "Marginal", lambda *fields: built.append(reading[-1]) or real_law(*fields))
+    monkeypatch.setattr(schemes.PersistentSchemeCaps, "run", lambda caps, ops: outcomes.append(real_run(caps, ops)) or outcomes[-1])
+    for sample in (simon.sample_simon, simon.sample_one_to_one):
+        runs = []
+        for run in (schemes.run_d_qc, lambda *args: store_free(schemes.run_d_qc, *args)):
+            rng = make_rng("qc-banks", n, d, backend, sample.__name__)
+            inst = sample(n, rng)
+            orc = oracle.sample_shuffling(inst, d, rng, backend=backend)
+            calls.clear(), built.clear()
+            got, led = run(schemes.solver_qc_decision_adversary(n, d, rounds), orc,
+                           schemes.SchemeBudget(depth=2 * d + 1), rng)
+            assert got is inst.kind
+            laws = sum(r.startswith(f"N{d}_") for r in built)
+            runs.append((len(calls), laws, outcomes.pop(), led, rng.bit_generator.state))
+        (kept_calls, kept_laws, *kept), (plain_calls, plain_laws, *plain) = runs
+        assert kept == plain
+        assert (kept_calls, plain_calls) == ((d + 1) + rounds * d, rounds * (2 * d + 1))
+        assert (kept_laws, plain_laws) == (1, rounds)
+
+
+def test_run_circuit_walks_a_programs_ops_once():
+    # the final measurements are built once per program, not per circuit
+    class Walked(tuple):
+        walks = 0
+
+        def __iter__(self):
+            Walked.walks += 1
+            return super().__iter__()
+
+    rng = make_rng("walk-once")
+    orc = oracle.sample_shuffling(simon.sample_simon(2, rng), 1, rng)
+    caps = schemes.CircuitSchemeCaps(orc, schemes.SchemeBudget(), rng)
+    layout = qsim.RegisterLayout(("walked", "kept"), (2, 1))
+    program = schemes.CircuitProgram(layout, Walked((("uniform", "walked"), ("measure", "walked"))))
+    for _ in range(2):
+        assert set(caps.run_circuit(program)) == {"walked", "kept"}
+    assert Walked.walks == 1
 
 
 def test_full_measurement_collapses_qc_to_cq():
