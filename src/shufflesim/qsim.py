@@ -13,12 +13,13 @@ keeps each register group's states before its first measurement per oracle.
 
 Ops build states from valid ones without the full config check. States are
 never mutated, so a state keeps each register column it is read by (each
-config's value in dict order) and each register's marginal once it is built:
-a state that many layers read, such as a shared uniform query state, is
-unpacked once, and measuring a kept state again only draws and collapses. The
-Hadamard and the marginal add terms in a term-by-term loop's order and match
-it. Fidelity joins the components' entries on their keys, so it adds each
-overlap's terms in one argument's dict order and needs no sorted support.
+config's value in dict order) and each register's marginal once it is built: a
+state that many layers read, such as a shared uniform query state, is unpacked
+once, and measuring a kept state again only draws and collapses. The Hadamard
+and the marginal add terms in a term-by-term loop's order and match it. A
+Hadamard then a measurement of its register is one Fourier sample. Fidelity
+joins the components' entries on their keys, so it adds each overlap's terms
+in one argument's dict order and needs no sorted support.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class SparseState:
                 cfg = next(c for c in amps if not 0 <= c[i] < 1 << w)
                 raise SimulatorError(f"config {cfg} out of range for widths {layout.widths}")
         self._hold(layout, dict(zip(map(layout.pack, amps), amps.values())))
-        self._check_norm()
+        _check_norm(self.norm())
 
     @classmethod
     def _trusted(cls, layout: RegisterLayout, amps: dict, check_norm: bool = True) -> "SparseState":
@@ -140,7 +141,7 @@ class SparseState:
         state = object.__new__(cls)
         state._hold(layout, amps)
         if check_norm:
-            state._check_norm()
+            _check_norm(state.norm())
         return state
 
     def _hold(self, layout: RegisterLayout, amps: dict) -> None:
@@ -153,11 +154,6 @@ class SparseState:
         state = copy.copy(self)
         state.layout = layout
         return state
-
-    def _check_norm(self) -> None:
-        norm = self.norm()
-        if abs(norm - 1.0) > NORM_TOL:
-            raise SimulatorError(f"state norm {norm} drifted beyond {NORM_TOL}")
 
     def norm(self) -> float:
         return math.hypot(*map(abs, self.amps.values()))
@@ -193,10 +189,20 @@ class SparseState:
             outcomes = sorted(set(values))
             rank = dict(zip(outcomes, range(len(outcomes))))
             bins = np.fromiter(map(rank.__getitem__, values), dtype=np.intp, count=len(values))
-            weights = np.bincount(bins, weights=[abs(a) ** 2 for a in self.amps.values()])
-            cumulative = np.cumsum(weights / weights.sum())
-            kept = self._marginals[field] = Marginal(bins, weights, outcomes, cumulative)
+            amps = np.fromiter(self.amps.values(), dtype=complex, count=len(values))
+            kept = self._marginals[field] = _born_law(bins, np.hypot(amps.real, amps.imag), outcomes)
         return kept
+
+
+def _check_norm(norm: float) -> None:
+    if abs(norm - 1.0) > NORM_TOL:
+        raise SimulatorError(f"state norm {norm} drifted beyond {NORM_TOL}")
+
+
+def _born_law(bins: np.ndarray, mags: np.ndarray, outcomes: list[int]) -> Marginal:
+    """The law of configs' bins with magnitudes |a| in dict order; np.float_power(m, 2) is m ** 2 to the bit."""
+    weights = np.bincount(bins, weights=np.float_power(mags, 2))
+    return Marginal(bins, weights, outcomes, np.cumsum(weights / weights.sum()))
 
 
 def basis_state(layout: RegisterLayout) -> SparseState:
@@ -263,8 +269,12 @@ def apply_oracle_xor(
     bijection on configs and an involution. values_at takes every input in
     state order and charges its core hits; Interpreter.oracle_layer the layer.
     """
+    return _xor_layer(state, oracle, _validate_query_spec(state.layout, oracle, query_spec), ledger)
+
+
+def _xor_layer(state: SparseState, oracle: ShufflingOracle, resolved, ledger: DepthLedger | None) -> SparseState:
+    """apply_oracle_xor on validated (level, input index, target index) entries."""
     layout = state.layout
-    resolved = _validate_query_spec(layout, oracle, query_spec)
     keys = list(state.amps)
     for level, i_idx, t_idx in resolved:
         # no entry writes an input, so every input is a column of the state
@@ -291,12 +301,12 @@ def _hadamard_row(w: int) -> np.ndarray:
     return row
 
 
-def hadamard_register(state: SparseState, register: str) -> SparseState:
-    """Hadamard on every qubit of one register. Each group of configs that
-    agree off the register sums its 2^w outputs in one array row, members in
-    input order (np.add.at is unbuffered); outputs are listed by first-seen
-    group, then ascending j. Values and order are a term-by-term loop's.
-    Refused when the groups' outputs would pass HADAMARD_ENTRIES."""
+def _hadamard_block(state: SparseState, register: str):
+    """The Hadamard on one register as a groups-by-2^w array, rows first seen
+    first, each adding its members in input order (np.add.at is unbuffered) as
+    a term-by-term loop does. Returns the rows' keys off the register, its
+    offset, the array, its |a| (np.hypot is abs() to the bit) and which pass
+    PRUNE_TOL; refused past HADAMARD_ENTRIES before allocating, or on norm drift."""
     off, mask = state.layout.field(register)
     w, rest = state.layout.width(register), ~(mask << off)
     groups: dict[int, int] = {}
@@ -310,18 +320,26 @@ def hadamard_register(state: SparseState, register: str) -> SparseState:
     step = max(1, (1 << 16) >> w)  # bounds the members-by-outputs block of terms
     for part in (slice(lo, lo + step) for lo in range(0, len(amps), step)):
         np.add.at(acc, member_group[part], row[values[part] & np.arange(1 << w)] * amps[part])
-    # np.abs only pre-filters, with a margin for its last-bit gap to abs()
-    g_idx, j_idx = np.nonzero(np.abs(acc) > PRUNE_TOL / 2)
-    rests, new_amps = list(groups), {}
-    for g, j, a in zip(g_idx.tolist(), j_idx.tolist(), acc[g_idx, j_idx].tolist()):
-        if abs(a) > PRUNE_TOL:
-            new_amps[rests[g] | j << off] = a
-    return SparseState._trusted(state.layout, new_amps)
+    mags = np.hypot(acc.real, acc.imag)
+    kept = mags > PRUNE_TOL
+    _check_norm(math.hypot(*mags[kept].tolist()))
+    return list(groups), off, acc, mags, kept
 
 
-def measure_register(
-    state: SparseState, register: str, rng: np.random.Generator
-) -> tuple[int, SparseState]:
+def hadamard_register(state: SparseState, register: str) -> SparseState:
+    """Hadamard on every qubit of one register; outputs by first-seen group, then ascending j."""
+    rests, off, acc, _, kept = _hadamard_block(state, register)
+    keys = [rests[g] | j << off for g, j in np.argwhere(kept).tolist()]
+    return SparseState._trusted(state.layout, dict(zip(keys, acc[kept].tolist())), check_norm=False)
+
+
+def _draw(law: Marginal, rng: np.random.Generator) -> tuple[int, int, float]:
+    """A bin drawn by the Born rule, its outcome, and the scale that renormalizes its configs."""
+    pick = min(int(np.searchsorted(law.cumulative, rng.random(), side="right")), len(law.outcomes) - 1)
+    return pick, law.outcomes[pick], 1.0 / np.sqrt(law.weights[pick])
+
+
+def measure_register(state: SparseState, register: str, rng: np.random.Generator) -> tuple[int, SparseState]:
     """Born-rule measurement of one register; returns (outcome, collapsed).
 
     Outcomes are enumerated in sorted order, so a fixed generator state fixes
@@ -330,11 +348,22 @@ def measure_register(
     running probabilities, so this only draws, searches and collapses.
     """
     law = state.marginal(register)
-    pick = int(np.searchsorted(law.cumulative, rng.random(), side="right"))
-    pick = min(pick, len(law.outcomes) - 1)
-    scale = 1.0 / np.sqrt(law.weights[pick])
+    pick, outcome, scale = _draw(law, rng)
     keep = {c: a * scale for c, a in compress(state.amps.items(), (law.bins == pick).tolist())}
-    return law.outcomes[pick], SparseState._trusted(state.layout, keep)
+    return outcome, SparseState._trusted(state.layout, keep)
+
+
+def fourier_sample(state: SparseState, register: str, rng: np.random.Generator) -> tuple[int, SparseState]:
+    """measure_register(hadamard_register(state, register), register, rng) bit
+    for bit, with the same draw, read off the Hadamard's array: only the drawn
+    column j is collapsed, so the 2^w-wide state is never built."""
+    rests, off, acc, mags, kept = _hadamard_block(state, register)
+    outcomes = np.flatnonzero(kept.any(axis=0))
+    law = _born_law(np.searchsorted(outcomes, np.nonzero(kept)[1]), mags[kept], outcomes.tolist())
+    _, j, scale = _draw(law, rng)
+    rows = np.flatnonzero(kept[:, j]).tolist()
+    collapsed = {rests[g] | j << off: a * scale for g, a in zip(rows, acc[rows, j].tolist())}
+    return j, SparseState._trusted(state.layout, collapsed)
 
 
 # -- circuit programs --------------------------------------------------------
@@ -395,7 +424,8 @@ class Interpreter:
     registers by position (its path, empty while it is fresh): they draw
     nothing, and oracle answers are final (ShufflingOracle.values_at). So
     each state a group reaches is kept per oracle with its step's core hits,
-    and a group on that path reads it back, charged the layer, then the hits."""
+    and a group on that path reads it back, charged the layer, then the hits.
+    A Hadamard whose group's next op measures it runs with that as one fourier_sample."""
 
     def __init__(
         self, program: CircuitProgram, oracle: ShufflingOracle, rng: np.random.Generator, ledger: DepthLedger
@@ -424,13 +454,14 @@ class Interpreter:
     def oracle_layer(self, query_spec) -> None:
         _validate_query_spec(self._layout, self._oracle, query_spec)
         by_group: dict[int, list] = {}
-        for entry in query_spec:
-            g = self._group_of[entry[1]]
-            if self._group_of[entry[2]] != g:
-                raise SimulatorError(f"registers {entry[1]!r} and {entry[2]!r} are not linked by the program")
-            by_group.setdefault(g, []).append(entry)
+        for level, a, b in query_spec:
+            g = self._group_of[a]
+            if self._group_of[b] != g:
+                raise SimulatorError(f"registers {a!r} and {b!r} are not linked by the program")
+            at = self.states[g].layout.names.index  # registers by position, so banks share paths
+            by_group.setdefault(g, []).append((level, at(a), at(b)))
         self.ledger.record_oracle_layer()
-        self._advance("oracle", by_group, lambda state, spec: apply_oracle_xor(state, self._oracle, spec, self.ledger))
+        self._advance("oracle", by_group, lambda state, entries: _xor_layer(state, self._oracle, entries, self.ledger))
 
     def _advance(self, kind: str, args: dict, step) -> None:
         """Set each group g to step(state, args[g]), or read back its path's kept
@@ -439,9 +470,7 @@ class Interpreter:
         for g, arg in args.items():
             state, path = self.states[g], self._paths[g]
             if path is not None:  # registers by position, so banks share paths
-                at = state.layout.names.index
-                positional = tuple([(lvl, at(a), at(b)) for lvl, a, b in arg]) if kind == "oracle" else at(arg)
-                path += ((kind, positional),)
+                path += ((kind, tuple(arg) if kind == "oracle" else state.layout.names.index(arg)),)
             kept = None if path is None else self._kept.get((state.layout.widths, path))
             if kept is None:
                 before = self.ledger.core_evaluations
@@ -453,25 +482,36 @@ class Interpreter:
             states[g], paths[g] = kept[0]._renamed(state.layout), path
         self.states, self._paths = states, paths
 
-    def measure(self, name: str) -> int:
-        g = self._group(name)
-        self.outcomes[name], self.states[g] = measure_register(self.states[g], name, self._rng)
-        self._paths[g] = None
-        return self.outcomes[name]
-
     def register_values(self, name: str) -> set[int]:
         return self.states[self._group(name)].register_values(name)
 
     def run(self, ops) -> dict[str, int]:
         """Run ops in order; returns the last outcome of each measured register."""
-        for kind, arg in ops:
+        ops, waiting = tuple(ops), set()  # registers whose Hadamard waits for their measurement
+        for i, (kind, arg) in enumerate(ops):
             if kind == "oracle":
                 self.oracle_layer(arg)
-            elif kind in ("uniform", "hadamard", "measure"):
+            elif kind == "measure":
+                g, read = self._group(arg), fourier_sample if arg in waiting else measure_register
+                self.outcomes[arg], self.states[g] = read(self.states[g], arg, self._rng)
+                self._paths[g] = None
+                waiting.discard(arg)
+            elif kind == "hadamard" and self._measured_next(ops, i):
+                waiting.add(arg)
+            elif kind in ("uniform", "hadamard"):
                 getattr(self, kind)(arg)
             else:
                 raise ValueError(f"unknown circuit op {kind!r}")
         return self.outcomes
+
+    def _measured_next(self, ops: tuple, i: int) -> bool:
+        """Whether the first later op on the Hadamard ops[i]'s group, or unknown, measures its register."""
+        g = self._group(ops[i][1])
+        for kind, arg in ops[i + 1 :]:
+            names = [r for entry in arg for r in entry[1:]] if kind == "oracle" else [arg]
+            if kind not in ("oracle", "uniform", "hadamard", "measure") or g in map(self._group_of.get, names):
+                return (kind, arg) == ("measure", ops[i][1])
+        return False
 
 
 # Per oracle: (group widths, path) -> (state, its step's core hits); goes with the oracle.

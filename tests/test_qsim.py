@@ -434,6 +434,81 @@ def test_measuring_a_state_twice_matches_a_fresh_reference():
                     assert list(got[1].amps.items()) == list(want[1].amps.items())
 
 
+def test_numpy_magnitudes_and_squares_match_python_abs_and_pow():
+    # the Hadamard's prune and every Born weight read np.hypot and
+    # np.float_power(., 2) in place of abs() and ** 2, so a numpy whose hypot
+    # or float_power rounds differently must fail here, not move seeded draws
+    rng = make_rng("magnitudes")
+    size = 200_000
+    z = (rng.normal(size=size) + 1j * rng.normal(size=size)) * np.exp(rng.uniform(-60, 3, size=size))
+    tol = qsim.PRUNE_TOL * (1 + np.arange(-64, 65) * np.finfo(float).eps)
+    near_tol = np.concatenate([tol, 1j * tol, tol * np.exp(1j * rng.uniform(0, 2 * np.pi, size=tol.size))])
+    # sums of +-2^(-w/2) terms that cancel exactly, or leave a last-bit residue
+    x, y = rng.normal(size=1000) * 2 ** -3.5, rng.normal(size=1000) * 2 ** -3.5
+    cancelled = np.concatenate([(x + 1j * y) - (x + 1j * y), ((x + y) - x - y) + 1j * ((y + x) - y - x)])
+    tiny = np.array([5e-324, 1e-310, 1e-300j, 3e-200 + 4e-200j, 0j, -0.0 + 0j])
+    z = np.concatenate([z, near_tol, cancelled, tiny])
+    mags = np.hypot(z.real, z.imag)
+    assert mags.tolist() == [abs(a) for a in z.tolist()]
+    assert np.float_power(mags, 2).tolist() == [abs(a) ** 2 for a in z.tolist()]
+    # one config per outcome, so each Born weight is one |a| ** 2 (m * m
+    # differs from m ** 2 on about 1 in 1,200 magnitudes)
+    amps = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    state = qsim.SparseState(layout_of(a=12), {(v,): a for v, a in enumerate((amps / np.linalg.norm(amps)).tolist())})
+    assert state.marginal("a").weights.tolist() == [abs(a) ** 2 for a in state.amps.values()]
+    out = qsim.hadamard_register(state, "a")
+    assert out.marginal("a").weights.tolist() == [abs(a) ** 2 for a in out.amps.values()]
+
+
+@st.composite
+def _hadamard_cases(draw):
+    """A state, one register to Fourier-sample, a seed and a Hadamard cap: the
+    register first, in the middle or last, beside 1-, 2- or 70-bit registers
+    (keys past 63 bits), few values per register (so configs share groups),
+    and amplitudes from a small set (so outputs cancel exactly); a scale off 1
+    makes the state's norm drift."""
+    w = draw(st.integers(1, 5))
+    others = draw(st.lists(st.sampled_from([1, 2, 70]), max_size=2))
+    at = draw(st.integers(0, len(others)))
+    widths = tuple(others[:at] + [w] + others[at:])
+    layout = qsim.RegisterLayout(tuple(f"r{i}" for i in range(len(widths))), widths)
+    values = [draw(st.lists(st.integers(0, (1 << x) - 1), min_size=1, max_size=4 if i == at else 2, unique=True))
+              for i, x in enumerate(widths)]
+    configs = draw(st.lists(st.tuples(*map(st.sampled_from, values)), min_size=1, max_size=8, unique=True))
+    amps = draw(st.lists(st.sampled_from([1, -1, 1j, 0.5 - 0.25j, 3]), min_size=len(configs), max_size=len(configs)))
+    scale = draw(st.sampled_from([1.0, 1.0, 1 + 1e-6])) / np.sqrt(sum(abs(a) ** 2 for a in amps))
+    amps = {layout.pack(c): complex(a * scale) for c, a in zip(configs, amps)}
+    state = qsim.SparseState._trusted(layout, amps, check_norm=False)
+    return state, layout.names[at], draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1 << 24, 8, 4]))
+
+
+def _bits(result):
+    """A read-out's outcome and collapsed state to the last bit, or its refusal."""
+    if isinstance(result, str):
+        return result
+    j, state = result
+    return j, state.layout, [(k, a.real.hex(), a.imag.hex()) for k, a in state.amps.items()]
+
+
+def _refusal_or(read):
+    try:
+        return read()
+    except qsim.SimulatorError as err:
+        return str(err)
+
+
+@given(_hadamard_cases())
+def test_fourier_sample_is_the_hadamard_then_the_measurement(case):
+    state, reg, seed, cap = case
+    fused, split = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsim, "HADAMARD_ENTRIES", cap)
+        got = _refusal_or(lambda: qsim.fourier_sample(state, reg, fused))
+        want = _refusal_or(lambda: qsim.measure_register(qsim.hadamard_register(state, reg), reg, split))
+    assert _bits(got) == _bits(want)
+    assert fused.bit_generator.state == split.bit_generator.state
+
+
 def _module_containers():
     # the kept steps go with their oracles, tested below
     return {name: len(v) for name, v in vars(qsim).items()
@@ -694,9 +769,10 @@ def _twins(n, d, backend, *key):
 
 
 def _count_layers(monkeypatch):
+    # the interpreter answers a validated layer through qsim's private path
     calls = []
-    real = qsim.apply_oracle_xor
-    monkeypatch.setattr(qsim, "apply_oracle_xor", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = qsim._xor_layer
+    monkeypatch.setattr(qsim, "_xor_layer", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     return calls
 
 

@@ -332,15 +332,18 @@ def test_solver_cq_adversary_decides_within_budget():
 @pytest.mark.parametrize("n,d,backend", [(3, 1, "materialized"), (4, 2, "materialized"), (12, 2, "lazy")])
 def test_cq_solver_runs_the_round_program(monkeypatch, n, d, backend):
     # the core register is measured mid-circuit, so the Hadamard on Q sees
-    # the at most 2 configs left, never Q's whole uniform superposition
-    real = qsim.hadamard_register
+    # the at most 2 configs left, never Q's whole uniform superposition; it
+    # runs with Q's measurement as one Fourier sample
+    real, sampled = qsim.fourier_sample, []
 
-    def small_hadamard(state, register):
+    def small_fourier_sample(state, register, rng):
         if state.support_size > 2:
             raise AssertionError(f"Hadamard on {state.support_size} configs")
-        return real(state, register)
+        sampled.append(register)
+        return real(state, register, rng)
 
-    monkeypatch.setattr(qsim, "hadamard_register", small_hadamard)
+    monkeypatch.setattr(qsim, "fourier_sample", small_fourier_sample)
+    monkeypatch.setattr(qsim, "hadamard_register", None)  # never called
     rng = make_rng("cq-round-program", n, d, backend)
     rounds = n + 10
     for sample in (simon.sample_simon, simon.sample_one_to_one):
@@ -356,6 +359,26 @@ def test_cq_solver_runs_the_round_program(monkeypatch, n, d, backend):
         assert led.circuits_invoked == rounds
         # the budget caps each circuit at 2d+1 layers, so each ran exactly 2d+1
         assert led.oracle_layers_total == rounds * (2 * d + 1)
+        assert sampled == ["Q"] * rounds
+        sampled.clear()
+
+
+@pytest.mark.parametrize("n,d,backend", [(3, 1, "materialized"), (10, 2, "lazy")])
+def test_qc_solver_banks_fourier_sample_each_q(monkeypatch, n, d, backend):
+    # the banked program runs every bank's Hadamard on Q, then every bank's
+    # measurement of Q: each Hadamard's group is next touched by its
+    # measurement, so each bank takes the fused route, in bank order
+    real, sampled = qsim.fourier_sample, []
+    monkeypatch.setattr(qsim, "fourier_sample", lambda state, reg, rng: sampled.append(reg) or real(state, reg, rng))
+    monkeypatch.setattr(qsim, "hadamard_register", None)  # never called
+    rounds = n + 10
+    rng = make_rng("qc-fourier", n, d, backend)
+    inst = simon.sample_simon(n, rng)
+    orc = oracle.sample_shuffling(inst, d, rng, backend=backend)
+    got, _ = schemes.run_d_qc(schemes.solver_qc_decision_adversary(n, d, rounds), orc,
+                              schemes.SchemeBudget(depth=2 * d + 1), rng)
+    assert got is inst.kind
+    assert sampled == [f"Q_{b}" for b in range(rounds)]
 
 
 def test_solver_qc_adversary_decides_in_one_computation():
@@ -382,7 +405,7 @@ def test_qc_solver_banks_read_back_one_chase(monkeypatch, n, d, backend):
     # the uncompute follows a measurement and runs once per bank
     rounds = n + 10
     calls, built, reading, outcomes = [], [], [], []
-    real_xor, real_marginal, real_law = qsim.apply_oracle_xor, qsim.SparseState.marginal, qsim.Marginal
+    real_xor, real_marginal, real_law = qsim._xor_layer, qsim.SparseState.marginal, qsim.Marginal
     real_run = schemes.PersistentSchemeCaps.run
 
     def marginal(state, register):
@@ -392,9 +415,10 @@ def test_qc_solver_banks_read_back_one_chase(monkeypatch, n, d, backend):
         finally:
             reading.pop()
 
-    monkeypatch.setattr(qsim, "apply_oracle_xor", lambda *a, **kw: calls.append(1) or real_xor(*a, **kw))
+    monkeypatch.setattr(qsim, "_xor_layer", lambda *a, **kw: calls.append(1) or real_xor(*a, **kw))
     monkeypatch.setattr(qsim.SparseState, "marginal", marginal)
-    monkeypatch.setattr(qsim, "Marginal", lambda *fields: built.append(reading[-1]) or real_law(*fields))
+    # a Fourier sample builds Q's law outside SparseState.marginal
+    monkeypatch.setattr(qsim, "Marginal", lambda *fields: built.append(reading[-1] if reading else "") or real_law(*fields))
     monkeypatch.setattr(schemes.PersistentSchemeCaps, "run", lambda caps, ops: outcomes.append(real_run(caps, ops)) or outcomes[-1])
     for sample in (simon.sample_simon, simon.sample_one_to_one):
         runs = []

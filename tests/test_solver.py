@@ -273,3 +273,16 @@ def test_ledger_accumulates_across_rounds():
         solver.run_simon_round(orc, rng, led)
         assert led.circuits_invoked == k
         assert led.oracle_layers_total == k * 3
+
+
+def test_steady_round_fourier_samples_q_without_the_hadamard_state(monkeypatch):
+    # Q's Hadamard is next followed by Q's measurement, so every round, the
+    # first and the steady ones, draws j straight from the Hadamard's array
+    real, sampled = qsim.fourier_sample, []
+    monkeypatch.setattr(qsim, "fourier_sample", lambda state, reg, rng: sampled.append(reg) or real(state, reg, rng))
+    monkeypatch.setattr(qsim, "hadamard_register", None)  # never called
+    rng = make_rng("steady-fourier")
+    orc = oracle.sample_shuffling(simon.sample_simon(10, rng), 2, rng, backend="lazy")
+    for _ in range(4):
+        solver.run_simon_round(orc, rng)
+    assert sampled == ["Q"] * 4
