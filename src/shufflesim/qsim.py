@@ -163,7 +163,7 @@ class SparseState:
         return len(self.amps)
 
     def register_values(self, name: str) -> set[int]:
-        return set(self.marginal(name).outcomes)
+        return set(self.column(name).tolist())
 
     def column(self, register: str, bits: int | None = None) -> np.ndarray:
         """Each config's value of the register's low `bits` bits (all of them

@@ -103,18 +103,16 @@ def _layers_per_circuit(ledger: DepthLedger) -> float:
     return ledger.oracle_layers_total / ledger.circuits_invoked if ledger.circuits_invoked else 0.0
 
 
-def _charged(strategy, oracle, value, rng):
-    """(answer, ledger) of a strategy that fills the ledger it is handed."""
-    ledger = DepthLedger()
-    return strategy(oracle, value, rng, ledger), ledger
+def _in_d_cq(strategy, oracle, value, budget, rng):
+    """(answer, ledger) of strategy(oracle, value, rng, ledger) run in the d-CQ harness under `budget`."""
+    return run_d_cq(lambda caps, rng: strategy(oracle, value, rng, caps.ledger), oracle, budget, rng)
 
 
-def _solve(oracle, max_rounds, rng):
-    ledger = DepthLedger()
+def _search(oracle, max_rounds, rng, ledger):
     try:
-        return solve_search(oracle, max_rounds, rng, ledger).value, ledger
+        return solve_search(oracle, max_rounds, rng, ledger).value
     except (SolverError, OracleError):
-        return None, ledger
+        return None
 
 
 def _violate(oracle, value, rng):
@@ -147,13 +145,17 @@ _ROUNDS = dict(
 
 _ADVERSARIES = {
     # the solver's round cap is solve's --max-rounds; grids run it uncapped
-    "solver": _Adversary(_simon, _solve, _shift_found, param="max_rounds"),
+    "solver": _Adversary(
+        _simon, lambda o, cap, rng: _in_d_cq(_search, o, cap, SchemeBudget(2 * o.d + 1, cap), rng), _shift_found,
+        param="max_rounds",
+    ),
     "decision": _Adversary(
-        _decision, lambda o, rounds, rng: _charged(solve_decision, o, rounds, rng), _kind_found, **_ROUNDS
+        _decision, lambda o, rounds, rng: _in_d_cq(solve_decision, o, rounds, SchemeBudget(2 * o.d + 1, rounds), rng),
+        _kind_found, **_ROUNDS,
     ),
     "classical": _Adversary(
-        _simon, lambda o, q, rng: _charged(classical_collision_adversary, o, q, rng), _shift_found,
-        param="q", default=lambda n, d: 16, help="classical path-query budget",
+        _simon, lambda o, q, rng: _in_d_cq(classical_collision_adversary, o, q, SchemeBudget(0, 0, q), rng),
+        _shift_found, param="q", default=lambda n, d: 16, help="classical path-query budget",
     ),
     "truncated": _Adversary(
         _decision, lambda o, budget, rng: truncated_quantum_adversary(o, budget, rng), _kind_found,
@@ -162,8 +164,7 @@ _ADVERSARIES = {
     "cq-solver": _Adversary(
         _decision,
         lambda o, rounds, rng: run_d_cq(
-            solver_cq_decision_adversary(o.n, o.d, rounds), o,
-            SchemeBudget(depth=2 * o.d + 1, circuits=rounds), rng,
+            solver_cq_decision_adversary(o.n, o.d, rounds), o, SchemeBudget(2 * o.d + 1, rounds), rng
         ),
         _kind_found, **_ROUNDS,
     ),

@@ -122,7 +122,6 @@ def solve_search(
     n = oracle.n
     if max_rounds is None:
         max_rounds = 4 * n + 16
-    ledger = ledger if ledger is not None else DepthLedger()
     rows: list[int] = []
     while True:
         basis = null_space_basis(rows, n)
@@ -142,6 +141,5 @@ def solve_decision(
     ledger: DepthLedger | None = None,
 ) -> InstanceKind:
     """Decide Simon versus one-to-one from `rounds` solver rounds."""
-    ledger = ledger if ledger is not None else DepthLedger()
     rows = [run_simon_round(oracle, rng, ledger).j.value for _ in range(rounds)]
     return decide_from_samples(rows, oracle.n, lambda x: oracle.query_path(x, ledger).final)

@@ -9,9 +9,12 @@ import pytest
 
 import shufflesim
 from shufflesim import runner
-from shufflesim.ledger import DepthLedger
+from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
+from shufflesim.oracle import sample_shuffling
+from shufflesim.schemes import TRUNCATED_PROBES
+from shufflesim.solver import run_simon_round
 
-from conftest import cli_env
+from conftest import cli_env, make_rng
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -50,6 +53,60 @@ def test_csv_header_is_pinned():
 
 def test_layers_per_circuit_zero_circuits():
     assert runner._layers_per_circuit(DepthLedger()) == 0.0
+
+
+# each grid kind's budget at (n, d, its parameter), as README lists them
+BUDGETS = {
+    "solver": lambda n, d, max_rounds: SchemeBudget(2 * d + 1, max_rounds),
+    "decision": lambda n, d, rounds: SchemeBudget(2 * d + 1, rounds),
+    "classical": lambda n, d, q: SchemeBudget(0, 0, q),
+    "truncated": lambda n, d, budget: (
+        SchemeBudget(budget, 1, TRUNCATED_PROBES) if budget < 2 * d + 1 else SchemeBudget(2 * d + 1, n + 10)
+    ),
+    "cq-solver": lambda n, d, rounds: SchemeBudget(2 * d + 1, rounds),
+    "qc-solver": lambda n, d, rounds: SchemeBudget(2 * d + 1),
+}
+
+
+def _played(kind, n, d, value, key):
+    rng = make_rng("budget", kind, key)
+    row = runner._ADVERSARIES[kind]
+    return row.play(sample_shuffling(row.sample(n, rng), d, rng), value, rng)
+
+
+@pytest.mark.parametrize(
+    "kind, value",
+    [("solver", None), ("solver", 20), ("decision", 13), ("classical", 16), ("truncated", 1),
+     ("truncated", 2), ("truncated", 3), ("cq-solver", 13), ("qc-solver", 13)],
+)
+def test_every_kind_plays_under_its_declared_budget(kind, value):
+    assert set(BUDGETS) == set(runner._ADVERSARIES) - {"violating"}
+    n, d = 3, 1
+    _, ledger = _played(kind, n, d, value, value)
+    assert ledger.budget == BUDGETS[kind](n, d, value)
+    assert ledger.violations == []
+
+
+def test_decision_round_past_its_rounds_is_refused(monkeypatch):
+    def greedy(oracle, rounds, rng, ledger):
+        for _ in range(rounds + 1):
+            run_simon_round(oracle, rng, ledger)
+
+    monkeypatch.setattr(runner, "solve_decision", greedy)
+    with pytest.raises(DepthViolation, match="circuit budget of 4 exceeded") as refused:
+        _played("decision", 3, 1, 4, "overrun")
+    assert refused.value.ledger.circuits_invoked == 4
+
+
+def test_classical_path_past_its_q_is_refused(monkeypatch):
+    def greedy(oracle, q, rng, ledger):
+        for x in range(q + 1):
+            oracle.query_path(x, ledger)
+
+    monkeypatch.setattr(runner, "classical_collision_adversary", greedy)
+    with pytest.raises(DepthViolation, match="classical query budget of 4 exceeded") as refused:
+        _played("classical", 3, 1, 4, "overrun")
+    assert refused.value.ledger.classical_queries == 4
 
 
 def test_run_cells_deterministic_and_parallel_equal():

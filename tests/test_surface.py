@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 from conftest import make_rng
-from shufflesim import oracle, simon, solver
+from shufflesim import oracle, runner, simon, solver
 from shufflesim.ledger import DepthLedger
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +126,49 @@ def test_bench_tracer_still_binds(monkeypatch):
         tracer.uninstall()
     assert tracer.counts["gf2.null_space_basis.rows"] == 5
     assert tracer.layer_totals()[0]["ledger.DepthLedger.snapshot"] == 1
+
+
+def test_bench_tracer_sees_the_strategies_grid_rows_run(monkeypatch):
+    # rows look strategies up when they run, so the tracer's rebinding reaches
+    # them; a row that bound its strategy at import would record no span
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    kinds = ("solver", "decision", "classical")
+    cells = [
+        runner._Cell("sweep", 3, 1, kind, "materialized", runner._ADVERSARIES[kind].default(3, 1)) for kind in kinds
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        runner.run_cells(cells, trials=3, seed=0)
+    finally:
+        tracer.uninstall()
+    calls = tracer.layer_totals()[0]
+    for name in ("solver.solve_search", "solver.solve_decision", "schemes.classical_collision_adversary"):
+        assert calls[name] == 3, name
+
+
+def _calls_by_scope(callee: str) -> list[str]:
+    """'module.Class.function' of the innermost definition around each src call of `callee`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if callee in (getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append(scope)
+            visit(child, f"{scope}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope)
+
+    for path in SRC:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_the_harness_and_the_bare_round_build_a_ledger():
+    # a strategy's budget is enforced by the ledger its harness builds; a
+    # lone run_simon_round, called without one, counts its layers in its own
+    assert sorted(_calls_by_scope("DepthLedger")) == ["schemes._CapsBase.__init__", "solver.run_simon_round"]
 
 
 # per-layer metrics the bench computes from spans rather than reads from one
