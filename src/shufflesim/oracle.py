@@ -22,6 +22,7 @@ distribution; no supported algorithm produces them.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,28 +90,39 @@ class IncrementalInjection:
 
         Each pass draws one image for every point still open: one `integers`
         call for several points on sizes up to 2^62, one `bytes` call for
-        several points on wider sizes whose draws take a multiple of 4 bytes,
-        else one `_draw_uniform` per point (a scalar draw, three times cheaper
-        than a batch of one). The draws are accepted in order; one whose
-        image is used or refused is skipped, so the open point takes the next
-        draw. numpy gives k batched draws the values and generator state of k
-        scalar draws (`bytes` fills whole 32-bit words, hence the 4-byte
-        multiples), so the stream is that of revealing the points one after
-        another, one draw at a time. Ends a.s.: a completion of the committed
-        facts maps every open point to an unused image that `reject` accepts,
-        so every draw is accepted with positive probability.
+        several points on wider sizes, cut into strides of whole 32-bit words
+        of which each draw keeps its first b bytes, and one `_draw_uniform`
+        for a single point (a scalar draw, three times cheaper than a batch
+        of one). The draws are accepted in order; one whose image is used or
+        refused is skipped, so the open point takes the next draw. numpy gives
+        k batched draws the values and generator state of k scalar draws
+        (`bytes` fills whole 32-bit words and drops the rest of the last), so
+        the stream is that of revealing the points one after another, one
+        draw at a time. A pass with no `reject` whose draws are distinct and
+        unused accepts them all, so it commits them with one update of each
+        link dict. Ends a.s.: a completion of the committed facts maps every
+        open point to an unused image that `reject` accepts, so every draw is
+        accepted with positive probability.
         """
-        out = []
+        out: list[int] = []
         while len(out) < len(xs):
             k = len(xs) - len(out)
-            if k > 1 and self.size <= 1 << 62:
+            if k == 1:
+                ys = [_draw_uniform(self._rng, self.size)]
+            elif self.size <= 1 << 62:
                 ys = self._rng.integers(self.size, size=k).tolist()
-            elif k > 1 and _wide_bytes(self.size) % 4 == 0:
-                nbytes = _wide_bytes(self.size)
-                raw = self._rng.bytes(k * nbytes)
-                ys = [int.from_bytes(raw[i : i + nbytes], "little") & (self.size - 1) for i in range(0, k * nbytes, nbytes)]
             else:
-                ys = [_draw_uniform(self._rng, self.size) for _ in range(k)]
+                nbytes = _wide_bytes(self.size)
+                stride = -(-nbytes // 4) * 4
+                raw = self._rng.bytes(k * stride)
+                ys = [int.from_bytes(raw[i : i + nbytes], "little") & (self.size - 1)
+                      for i in range(0, k * stride, stride)]
+            if reject is None and len(set(ys)) == k and self.rev.keys().isdisjoint(ys):
+                open_points = xs[len(out) :]
+                self.fwd.update(zip(open_points, ys))
+                self.rev.update(zip(ys, open_points))
+                out += ys
+                continue
             for y in ys:
                 if y not in self.rev and (reject is None or not reject(y)):
                     x = xs[len(out)]
@@ -207,7 +219,8 @@ class ShufflingOracle:
             self._check_point(x)
         answers = self._encoded_answers(level, xs)
         if ledger is not None and level == self.d:
-            core_hits = len({x for x, a in zip(xs, answers) if a != 1 << self.n})
+            bot = 1 << self.n
+            core_hits = len({x for x, a in zip(xs, answers) if a != bot})
             if core_hits:
                 ledger.record_core(core_hits)
         return answers
@@ -312,16 +325,17 @@ class LazyShufflingOracle(ShufflingOracle):
     def _encoded_answers(self, level: int, xs) -> list[int]:
         # distinct points in first-seen order: a repeat reads what the first drew
         if level == self.d:
-            given = self._core_answers(list(dict.fromkeys(xs)))
-            return [given[x] for x in xs]
+            return self._core_answers(xs)
         answers = list(map(self._levels[level].fwd.get, xs))
         if None not in answers:
             return answers
+        if answers.count(None) == len(xs) == len(set(xs)):  # all fresh and distinct
+            return self._reveal(level, xs)
         fresh = list(dict.fromkeys(x for x, a in zip(xs, answers) if a is None))
         given = dict(zip(fresh, self._reveal(level, fresh)))
         return [given[x] if a is None else a for x, a in zip(xs, answers)]
 
-    def _core_answers(self, points: list[int]) -> dict[int, int]:
+    def _core_answers(self, xs) -> list[int]:
         # A point whose revealed links walk back to a root has that root's
         # value and draws nothing (a refuted point never gains a preimage, so
         # no such walk meets one); the others are resolved in first-seen
@@ -329,21 +343,26 @@ class LazyShufflingOracle(ShufflingOracle):
         # roots, so it too is answered bot without a draw. Resolving one never
         # changes a walked point's answer: it only adds links and refutations
         # off the revealed chains.
-        reached = points
+        reached = xs
         for t in reversed(range(self.d)):
             reached = list(map(self._levels[t].rev.get, reached))
-        walked = {x: r for x, r in zip(points, reached) if r is not None and r < 1 << self.n}
-        given = dict(zip(walked, self.instance.table[list(walked.values())].tolist()))
-        rest = [x for x in points if x not in given]
+        roots = 1 << self.n
+        if None not in reached and max(reached, default=0) < roots:  # a chase: every point walks back
+            return self.instance.table[np.fromiter(reached, dtype=np.intp, count=len(reached))].tolist()
+        walked = {x: r for x, r in zip(xs, reached) if r is not None and r < roots}
+        at = np.fromiter(walked.values(), dtype=np.intp, count=len(walked))
+        given = dict(zip(walked, self.instance.table[at].tolist()))
+        rest = list(dict.fromkeys(x for x in xs if x not in given))
         # Refuse the layer once, before any draw: resolving a point only grows
         # the images, and a link it adds at a level t >= 1 leaves a level-t image,
         # so the check at the highest stop of a fresh, unrefuted walk holds for all.
         stops = [self._walk_back(self.d, x) for x in rest]
         open_levels = [t for t, p in stops if t and p not in self._banned[t]]
         self._check_unweaved(max(open_levels, default=0))
+        open_roots: dict[int, list[int]] = {}  # per stop level, shared by the layer's points
         for x in rest:
-            given[x] = self.encode_answer(self.d, self._resolve_core(x))
-        return given
+            given[x] = self.encode_answer(self.d, self._resolve_core(x, open_roots))
+        return [given[x] for x in xs]
 
     def _walk_back(self, level: int, point: int) -> tuple[int, int]:
         # Follow revealed links back from `point` at `level` to level 0 or to
@@ -387,11 +406,13 @@ class LazyShufflingOracle(ShufflingOracle):
 
     # -- core resolution ---------------------------------------------------
 
-    def _resolve_core(self, x: int):
+    def _resolve_core(self, x: int, open_roots: dict[int, list[int]] | None = None):
         # Walk back through revealed links. The walk ends at level 0 (exact
         # answer), at a refuted point (bot; only where it stops, as a refuted
         # point has no preimage), or at an unrevealed link, where membership
-        # is sampled at its exact conditional probability.
+        # is sampled at its exact conditional probability. `open_roots` keeps
+        # each stop level's open roots for a layer's next point: a routed
+        # chain's links touch no other chain, so only its root closes.
         level, point = self._walk_back(self.d, x)
         if level == 0:
             return self.instance.value(point) if point < (1 << self.n) else BOT
@@ -399,15 +420,22 @@ class LazyShufflingOracle(ShufflingOracle):
             return BOT
         # Callers have checked exchangeability: _core_answers per layer before
         # it draws, and _answer reaches only a path query's walked points.
-        # Each root's chain point at `level`, None past its first unrevealed link.
-        reached = list(range(1 << self.n))
-        for t in range(level):
-            reached = list(map(self._levels[t].fwd.get, reached))
-        open_roots = [r for r, pt in enumerate(reached) if pt is None]
+        open_roots = {} if open_roots is None else open_roots
+        if level not in open_roots:
+            # each root's chain point at `level`, None past its first unrevealed link
+            reached = list(range(1 << self.n))
+            for t in range(level):
+                reached = list(map(self._levels[t].fwd.get, reached))
+            open_roots[level] = [r for r, pt in enumerate(reached) if pt is None]
+        candidates = open_roots[level]
         # open chains land on an unused image that is not refuted
         available = self.domain_size - len(self._levels[level - 1].rev) - len(self._banned[level])
-        if open_roots and self._rng.random() * available < len(open_roots):
-            chosen = open_roots[int(self._rng.integers(len(open_roots)))]
+        if candidates and self._rng.random() * available < len(candidates):
+            chosen = candidates[int(self._rng.integers(len(candidates)))]
+            for roots in open_roots.values():  # ascending, so a bisection finds it
+                at = bisect.bisect_left(roots, chosen)
+                if at < len(roots) and roots[at] == chosen:
+                    del roots[at]
             # Route the chosen chain through `point`: fresh uniform links up
             # to level-1, then the forced link. The walk back from x just
             # followed the links from `point` on to the core.

@@ -15,11 +15,14 @@ Ops build states from valid ones without the full config check. States are
 never mutated, so a state keeps each register column it is read by (each
 config's value in dict order) and each register's marginal once it is built: a
 state that many layers read, such as a shared uniform query state, is unpacked
-once, and measuring a kept state again only draws and collapses. The Hadamard
-and the marginal add terms in a term-by-term loop's order and match it. A
-Hadamard then a measurement of its register is one Fourier sample. Fidelity
-joins the components' entries on their keys, so it adds each overlap's terms
-in one argument's dict order and needs no sorted support.
+once, and measuring a kept state again only draws and collapses. The
+Hadamard and the marginal add terms in a term-by-term loop's order and match
+it: the Hadamard adds each member's terms to its row directly on rows at
+least DIRECT_ROW wide, and through np.add.at on narrower ones. A Hadamard then
+a measurement of its register is one Fourier sample, whose Born weights are
+one masked pass over the Hadamard's array. Fidelity joins the components'
+entries on their keys, so it adds each overlap's terms in one argument's dict
+order and needs no sorted support.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ DENSE_ENTRIES = 1 << 24
 JOIN_BLOCK = 1 << 20
 # the most group-by-output amplitudes one Hadamard may hold
 HADAMARD_ENTRIES = 1 << 24
+# the narrowest Hadamard row that adds each member's terms directly
+DIRECT_ROW = 1 << 6
 
 
 class SimulatorError(Exception):
@@ -190,19 +195,15 @@ class SparseState:
             rank = dict(zip(outcomes, range(len(outcomes))))
             bins = np.fromiter(map(rank.__getitem__, values), dtype=np.intp, count=len(values))
             amps = np.fromiter(self.amps.values(), dtype=complex, count=len(values))
-            kept = self._marginals[field] = _born_law(bins, np.hypot(amps.real, amps.imag), outcomes)
+            # np.float_power(m, 2) is Python's m ** 2 to the bit
+            weights = np.bincount(bins, weights=np.float_power(np.hypot(amps.real, amps.imag), 2))
+            kept = self._marginals[field] = Marginal(bins, weights, outcomes, np.cumsum(weights / weights.sum()))
         return kept
 
 
 def _check_norm(norm: float) -> None:
     if abs(norm - 1.0) > NORM_TOL:
         raise SimulatorError(f"state norm {norm} drifted beyond {NORM_TOL}")
-
-
-def _born_law(bins: np.ndarray, mags: np.ndarray, outcomes: list[int]) -> Marginal:
-    """The law of configs' bins with magnitudes |a| in dict order; np.float_power(m, 2) is m ** 2 to the bit."""
-    weights = np.bincount(bins, weights=np.float_power(mags, 2))
-    return Marginal(bins, weights, outcomes, np.cumsum(weights / weights.sum()))
 
 
 def basis_state(layout: RegisterLayout) -> SparseState:
@@ -303,14 +304,19 @@ def _hadamard_row(w: int) -> np.ndarray:
 
 def _hadamard_block(state: SparseState, register: str):
     """The Hadamard on one register as a groups-by-2^w array, rows first seen
-    first, each adding its members in input order (np.add.at is unbuffered) as
-    a term-by-term loop does. Returns the rows' keys off the register, its
-    offset, the array, its |a| (np.hypot is abs() to the bit) and which pass
-    PRUNE_TOL; refused past HADAMARD_ENTRIES before allocating, or on norm drift."""
+    first, each summing its members' terms in input order from zeros as a
+    term-by-term loop does, signed zeros included: one add per member on rows
+    DIRECT_ROW wide or more (a member's add costs what np.add.at spends on
+    about 64 terms, whatever the members per row), np.add.at (unbuffered, the
+    same additions) on narrower rows. Returns the rows' keys off the register,
+    its offset, the array, which entries pass PRUNE_TOL (np.hypot is abs() to
+    the bit), the outputs j holding one, and their Born weights: masked
+    np.float_power(|a|, 2) (Python's ** 2 to the bit) summed over rows in row
+    order. Refused past HADAMARD_ENTRIES before allocating, or on norm drift."""
     off, mask = state.layout.field(register)
     w, rest = state.layout.width(register), ~(mask << off)
     groups: dict[int, int] = {}
-    member_group = np.array([groups.setdefault(key & rest, len(groups)) for key in state.amps])
+    member_group = [groups.setdefault(key & rest, len(groups)) for key in state.amps]
     if len(groups) << w > HADAMARD_ENTRIES:
         raise SimulatorError(f"a Hadamard on {register!r} would hold {len(groups)} x 2^{w} outputs, "
                              f"past the cap of {HADAMARD_ENTRIES}")
@@ -318,25 +324,33 @@ def _hadamard_block(state: SparseState, register: str):
     amps = np.array(list(state.amps.values()), dtype=complex)[:, None]
     row, acc = _hadamard_row(w), np.zeros((len(groups), 1 << w), dtype=complex)
     step = max(1, (1 << 16) >> w)  # bounds the members-by-outputs block of terms
-    for part in (slice(lo, lo + step) for lo in range(0, len(amps), step)):
-        np.add.at(acc, member_group[part], row[values[part] & np.arange(1 << w)] * amps[part])
+    for lo in range(0, len(amps), step):
+        terms = row[values[lo : lo + step] & np.arange(1 << w)] * amps[lo : lo + step]
+        if 1 << w >= DIRECT_ROW:
+            for g, member_terms in zip(member_group[lo : lo + step], terms):
+                acc[g] += member_terms
+        else:
+            np.add.at(acc, member_group[lo : lo + step], terms)
     mags = np.hypot(acc.real, acc.imag)
     kept = mags > PRUNE_TOL
-    _check_norm(math.hypot(*mags[kept].tolist()))
-    return list(groups), off, acc, mags, kept
+    column_weights = np.float_power(mags, 2, out=np.zeros_like(mags), where=kept).sum(axis=0)
+    outcomes = np.flatnonzero(column_weights)
+    weights = column_weights[outcomes]
+    _check_norm(math.sqrt(weights.sum()))
+    return list(groups), off, acc, kept, outcomes, weights
 
 
 def hadamard_register(state: SparseState, register: str) -> SparseState:
     """Hadamard on every qubit of one register; outputs by first-seen group, then ascending j."""
-    rests, off, acc, _, kept = _hadamard_block(state, register)
+    rests, off, acc, kept, _, _ = _hadamard_block(state, register)
     keys = [rests[g] | j << off for g, j in np.argwhere(kept).tolist()]
     return SparseState._trusted(state.layout, dict(zip(keys, acc[kept].tolist())), check_norm=False)
 
 
-def _draw(law: Marginal, rng: np.random.Generator) -> tuple[int, int, float]:
-    """A bin drawn by the Born rule, its outcome, and the scale that renormalizes its configs."""
-    pick = min(int(np.searchsorted(law.cumulative, rng.random(), side="right")), len(law.outcomes) - 1)
-    return pick, law.outcomes[pick], 1.0 / np.sqrt(law.weights[pick])
+def _draw(weights: np.ndarray, cumulative: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
+    """An outcome's index drawn by the Born rule, and the scale that renormalizes its configs."""
+    pick = min(int(np.searchsorted(cumulative, rng.random(), side="right")), len(weights) - 1)
+    return pick, 1.0 / np.sqrt(weights[pick])
 
 
 def measure_register(state: SparseState, register: str, rng: np.random.Generator) -> tuple[int, SparseState]:
@@ -348,19 +362,19 @@ def measure_register(state: SparseState, register: str, rng: np.random.Generator
     running probabilities, so this only draws, searches and collapses.
     """
     law = state.marginal(register)
-    pick, outcome, scale = _draw(law, rng)
+    pick, scale = _draw(law.weights, law.cumulative, rng)
     keep = {c: a * scale for c, a in compress(state.amps.items(), (law.bins == pick).tolist())}
-    return outcome, SparseState._trusted(state.layout, keep)
+    return law.outcomes[pick], SparseState._trusted(state.layout, keep)
 
 
 def fourier_sample(state: SparseState, register: str, rng: np.random.Generator) -> tuple[int, SparseState]:
     """measure_register(hadamard_register(state, register), register, rng) bit
-    for bit, with the same draw, read off the Hadamard's array: only the drawn
-    column j is collapsed, so the 2^w-wide state is never built."""
-    rests, off, acc, mags, kept = _hadamard_block(state, register)
-    outcomes = np.flatnonzero(kept.any(axis=0))
-    law = _born_law(np.searchsorted(outcomes, np.nonzero(kept)[1]), mags[kept], outcomes.tolist())
-    _, j, scale = _draw(law, rng)
+    for bit, with the same draw, read off the Hadamard's array and its Born
+    weights: only the drawn column j is collapsed, so the 2^w-wide state is
+    never built."""
+    rests, off, acc, kept, outcomes, weights = _hadamard_block(state, register)
+    pick, scale = _draw(weights, np.cumsum(weights / weights.sum()), rng)
+    j = int(outcomes[pick])
     rows = np.flatnonzero(kept[:, j]).tolist()
     collapsed = {rests[g] | j << off: a * scale for g, a in zip(rows, acc[rows, j].tolist())}
     return j, SparseState._trusted(state.layout, collapsed)

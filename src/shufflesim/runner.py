@@ -5,7 +5,9 @@ them, and emit aggregate rows as JSON (canonical: sorted keys) or CSV with a
 fixed header. Reruns with the same seed produce byte-identical files, serial
 or parallel: every trial draws from its own seed stream keyed by
 (seed, cell index, trial index), results aggregate in trial order, and the
-seconds column stays 0.0 unless timing is requested.
+seconds column stays 0.0 unless timing is requested. A trial whose strategy
+raises a typed refusal (schemes.REFUSALS) fails with that reason, and its
+JSON row counts the cell's refusals by reason; any other error ends the run.
 
 Defaults can be overridden by environment variables SHUFFLESIM_SEED,
 SHUFFLESIM_TRIALS, SHUFFLESIM_BACKEND, SHUFFLESIM_JOBS; command line flags
@@ -21,6 +23,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from collections.abc import Callable
@@ -38,6 +41,7 @@ from .ledger import DepthLedger, DepthViolation
 from .oracle import BOT, OracleError, _draw_uniform, check_materialized_cap, sample_shuffling
 from .qsim import init_uniform
 from .schemes import (
+    REFUSALS,
     SchemeBudget,
     classical_collision_adversary,
     run_d_cq,
@@ -48,7 +52,7 @@ from .schemes import (
     wilson_interval,
 )
 from .simon import sample_decision_instance, sample_one_to_one, sample_simon, verify_shift
-from .solver import SolverError, solve_decision, solve_search, solver_layout
+from .solver import solve_decision, solve_search, solver_layout
 
 
 @dataclass(frozen=True)
@@ -64,9 +68,11 @@ class ResultRecord:
     oracle_layers_mean: float
     classical_queries_mean: float
     seconds: float
+    # {reason: count} of the cell's refused trials; JSON only, and only if one was refused
+    refusals: dict[str, int] | None = None
 
 
-CSV_HEADER = [f.name for f in fields(ResultRecord)]
+CSV_HEADER = [f.name for f in fields(ResultRecord) if f.name != "refusals"]
 BACKENDS = ("materialized", "lazy")
 
 
@@ -109,10 +115,7 @@ def _in_d_cq(strategy, oracle, value, budget, rng):
 
 
 def _search(oracle, max_rounds, rng, ledger):
-    try:
-        return solve_search(oracle, max_rounds, rng, ledger).value
-    except (SolverError, OracleError):
-        return None
+    return solve_search(oracle, max_rounds, rng, ledger).value
 
 
 def _violate(oracle, value, rng):
@@ -180,13 +183,17 @@ _ADVERSARIES = {
 
 
 def _run_trial(packed):
+    """(won, layers per circuit, classical queries, refusal reason or None)."""
     kind, n, d, backend, value, entropy = packed
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     row = _ADVERSARIES[kind]
     instance = row.sample(n, rng)
     oracle = sample_shuffling(instance, d, rng, backend=backend)
-    answer, ledger = row.play(oracle, value, rng)
-    return row.wins(instance, answer), _layers_per_circuit(ledger), ledger.classical_queries
+    try:
+        answer, ledger = row.play(oracle, value, rng)
+    except REFUSALS as exc:  # the harness hands over the refused trial's ledger
+        return False, _layers_per_circuit(exc.ledger), exc.ledger.classical_queries, f"{type(exc).__name__}: {exc}"
+    return row.wins(instance, answer), _layers_per_circuit(ledger), ledger.classical_queries, None
 
 
 def run_cells(cells, trials: int, seed: int, jobs: int = 1, timing: bool = False) -> list[ResultRecord]:
@@ -207,8 +214,9 @@ def run_cells(cells, trials: int, seed: int, jobs: int = 1, timing: bool = False
                 results = list(pool.map(_run_trial, packed, chunksize=chunk))
             else:
                 results = [_run_trial(p) for p in packed]
-            successes = sum(1 for ok, _, _ in results if ok)
+            successes = sum(1 for ok, _, _, _ in results if ok)
             lo, hi = wilson_interval(successes, trials)
+            refusals = Counter(reason for _, _, _, reason in results if reason is not None)
             records.append(
                 ResultRecord(
                     experiment=cell.experiment,
@@ -222,6 +230,7 @@ def run_cells(cells, trials: int, seed: int, jobs: int = 1, timing: bool = False
                     oracle_layers_mean=float(np.mean([r[1] for r in results])),
                     classical_queries_mean=float(np.mean([r[2] for r in results])),
                     seconds=round(time.perf_counter() - start, 3) if timing else 0.0,
+                    refusals=dict(refusals) or None,
                 )
             )
     return records
@@ -231,7 +240,8 @@ def run_cells(cells, trials: int, seed: int, jobs: int = 1, timing: bool = False
 
 
 def records_to_json(records: list[ResultRecord]) -> str:
-    return json.dumps([asdict(r) for r in records], indent=2, sort_keys=True) + "\n"
+    rows = [{k: v for k, v in asdict(r).items() if k != "refusals" or v} for r in records]
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 def records_to_csv(records: list[ResultRecord]) -> str:
@@ -497,9 +507,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except SolverError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

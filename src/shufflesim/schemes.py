@@ -17,12 +17,14 @@ import numpy as np
 
 from . import qsim
 from .ledger import DepthLedger, SchemeBudget
-from .oracle import ShufflingOracle, _draw_uniform
+from .oracle import OracleError, ShufflingOracle, _draw_uniform
 from .qsim import CircuitProgram
 from .simon import InstanceKind
-from .solver import decide_from_samples, round_program, solve_decision, solver_layout
+from .solver import SolverError, decide_from_samples, round_program, solve_decision, solver_layout
 
 TRUNCATED_PROBES = 8
+# the typed refusals: a strategy that cannot answer exactly raises one of these
+REFUSALS = (SolverError, OracleError, qsim.SimulatorError)
 
 
 class _CapsBase:
@@ -77,14 +79,22 @@ class PersistentSchemeCaps(_CapsBase):
 def run_d_cq(adversary, oracle: ShufflingOracle, budget: SchemeBudget, rng: np.random.Generator):
     """Run a circuit-per-invocation adversary; returns (output, ledger).
     Budget violations abort with DepthViolation carrying the ledger."""
-    caps = CircuitSchemeCaps(oracle, budget, rng)
-    return adversary(caps, rng), caps.ledger
+    return _play(adversary, CircuitSchemeCaps(oracle, budget, rng), rng)
 
 
 def run_d_qc(adversary, oracle: ShufflingOracle, budget: SchemeBudget, rng: np.random.Generator):
     """Run a persistent-state adversary; returns (output, ledger)."""
-    caps = PersistentSchemeCaps(oracle, budget, rng)
-    return adversary(caps, rng), caps.ledger
+    return _play(adversary, PersistentSchemeCaps(oracle, budget, rng), rng)
+
+
+def _play(adversary, caps: _CapsBase, rng: np.random.Generator):
+    """(output, ledger); a typed refusal (REFUSALS) leaves carrying the ledger
+    it was charged to as `ledger`, as a DepthViolation does."""
+    try:
+        return adversary(caps, rng), caps.ledger
+    except REFUSALS as exc:
+        exc.ledger = caps.ledger
+        raise
 
 
 # -- reference adversaries -------------------------------------------------

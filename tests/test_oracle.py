@@ -417,7 +417,9 @@ def test_bulk_refuses_out_of_domain_points(backend):
 # -- batch reveals (values_at) -----------------------------------------------
 
 
-@pytest.mark.parametrize("size", [1 << 3, 1 << 12, 1 << 40, 1 << 62, 3 << 20, 1 << 64, 1 << 65])
+@pytest.mark.parametrize(
+    "size", [1 << 3, 1 << 12, 1 << 40, 1 << 62, 3 << 20, 1 << 64, 1 << 65, 1 << 75, 1 << 80, 1 << 88, 1 << 100]
+)
 def test_batched_draws_equal_scalar_draws(size):
     # the batch reveal path rests on this numpy property; if an upgrade
     # breaks it, this fails before any golden file does
@@ -427,11 +429,43 @@ def test_batched_draws_equal_scalar_draws(size):
         if size <= 1 << 62:
             drawn = batch.integers(size, size=k).tolist()
         else:
-            # 8-byte draws are read in one rng.bytes call; 9-byte draws
-            # would not batch, so they keep the scalar path
+            # wide draws of b bytes are read in one rng.bytes call, in strides
+            # of whole 32-bit words (9 to 13 bytes here)
             drawn = IncrementalInjection(size, batch).reveal(list(range(k)))
         assert drawn == [_draw_uniform(scalar, size) for _ in range(k)]
         assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("nbytes", [5, 6, 7, 9, 10, 11, 13])
+def test_byte_draws_fill_whole_words(nbytes):
+    # k draws of b bytes equal one draw of k strides of 4 * ceil(b / 4)
+    # bytes, each cut to its first b: numpy fills whole 32-bit words and
+    # drops the rest of the last, generator state included
+    stride = -(-nbytes // 4) * 4
+    batch, scalar = make_rng("strides", nbytes), make_rng("strides", nbytes)
+    batch.integers(8), scalar.integers(8)  # leaves half a 64-bit word buffered
+    raw = batch.bytes(1000 * stride)
+    assert [raw[i : i + nbytes] for i in range(0, len(raw), stride)] == [scalar.bytes(nbytes) for _ in range(1000)]
+    assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+def test_reveal_falls_back_on_a_repeated_or_used_image():
+    # a batch whose draws are distinct and unused is committed in bulk; one
+    # that repeats an image within itself, or draws one already used, takes
+    # the per-draw loop; both match revealing point by point
+    seen = set()
+    for seed in range(60):
+        bulk, twin = (IncrementalInjection(16, make_rng("fallback", seed)) for _ in range(2))
+        _reveal_point_by_point(twin)
+        for xs in ([0, 1, 2], [3, 4], [5, 6, 7, 8]):
+            ahead = np.random.Generator(type(bulk._rng.bit_generator)())
+            ahead.bit_generator.state = bulk._rng.bit_generator.state
+            first = ahead.integers(16, size=len(xs)).tolist()
+            seen.add("repeat" if len(set(first)) < len(xs) else "used" if set(first) & bulk.rev.keys() else "bulk")
+            assert bulk.reveal(xs) == twin.reveal(xs)
+            assert (bulk.fwd, bulk.rev) == (twin.fwd, twin.rev)
+            assert bulk._rng.bit_generator.state == twin._rng.bit_generator.state
+    assert seen == {"repeat", "used", "bulk"}
 
 
 class _BatchCount:
@@ -525,6 +559,24 @@ def test_lazy_batch_reveals_match_pointwise_twin(n, d):
         _answer_both(bulk, twin, d, list(range(bulk.domain_size)))
         _chase_both(bulk, twin, range(1 << n))
     assert redraws > 0
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (4, 1)])
+def test_lazy_many_fresh_core_points_match_pointwise_twin(n, d):
+    """One core layer of every point in the domain, after a chase of the even
+    roots: each stop level's open roots are worked out once for the layer,
+    and each routed root leaves them; answers, links, refutations and
+    generator state equal the per-point twin's, which works them out anew
+    for every point."""
+    routed = 0
+    for seed in range(4):
+        bulk, twin = _twin_lazy(n, d, 2000 + seed)
+        _chase_both(bulk, twin, range(0, 1 << n, 2))
+        got = _answer_both(bulk, twin, d, list(range(bulk.domain_size)))
+        assert _record(bulk) == _record(twin)
+        routed += sum(a != 1 << n for a in got) - (1 << (n - 1))  # less the even roots' chains
+        _chase_both(bulk, twin, range(1 << n))
+    assert routed >= 2 * (1 << n)
 
 
 def test_lazy_refutation_active_chase_matches_pointwise_twin():

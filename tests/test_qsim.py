@@ -509,6 +509,99 @@ def test_fourier_sample_is_the_hadamard_then_the_measurement(case):
     assert fused.bit_generator.state == split.bit_generator.state
 
 
+class _CountedAdd:
+    """Stands in for np.add and counts the np.add.at calls made through it."""
+
+    def __init__(self):
+        self.real, self.at_calls = np.add, 0
+
+    def at(self, *args):
+        self.at_calls += 1
+        return self.real.at(*args)
+
+    def __call__(self, *args, **kwargs):
+        return self.real(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+def _block_cases():
+    """States whose Hadamard blocks _grouped_state does not reach, by
+    (register width, members per row): one row of a whole uniform register;
+    several rows of 3 to 5 members each, and twelve rows of three; real
+    amplitudes whose terms carry zeros of both signs."""
+    for w in (4, 6, 7):
+        yield f"uniform-{w}", qsim.init_uniform(layout_of(a=2, h=w), "h")
+    for w, rows, seed in ((3, 4, 0), (6, 4, 1), (7, 4, 2), (3, 12, 3), (6, 12, 4)):
+        rng = make_rng("rows", w, rows, seed)
+        amps = {}
+        for g in rng.choice(16, size=rows, replace=False).tolist():
+            for v in rng.choice(1 << w, size=int(rng.integers(3, 6)), replace=False).tolist():
+                amps[(g, v, g & 1)] = complex(rng.normal(), rng.normal())
+        norm = np.sqrt(sum(abs(x) ** 2 for x in amps.values()))
+        yield f"rows-{w}-{rows}", qsim.SparseState(layout_of(a=4, h=w, b=1), {c: x / norm for c, x in amps.items()})
+    for w in (3, 6):
+        # +-1/2 and +-0.0j signs, so terms carry zeros of both signs; a route
+        # that did not add from zeros would keep a -0.0
+        signs = make_rng("signed-zero", w).integers(2, size=(8, 2)).tolist()
+        amps = {(v & 1, v): complex(0.5 if re else -0.5, 0.0 if im else -0.0)
+                for v, (re, im) in zip(range(0, 1 << w, (1 << w) // 4 or 1), signs)}
+        yield f"signed-zero-{w}", qsim.SparseState._trusted(layout_of(b=1, h=w), {
+            layout_of(b=1, h=w).pack(c): a for c, a in amps.items()})
+
+
+def _hex_amps(state):
+    return [(k, a.real.hex(), a.imag.hex()) for k, a in state.amps.items()]
+
+
+@pytest.mark.parametrize("name, state", list(_block_cases()), ids=[name for name, _ in _block_cases()])
+def test_hadamard_routes_match_the_term_by_term_loop_to_the_bit(monkeypatch, name, state):
+    w = state.layout.width("h")
+    # rows at least DIRECT_ROW wide add each member's terms directly, narrower ones take np.add.at
+    counted = _CountedAdd()
+    monkeypatch.setattr(np, "add", counted)
+    got = qsim.hadamard_register(state, "h")
+    assert counted.at_calls == (0 if 1 << w >= qsim.DIRECT_ROW else 1)
+    # the other route, forced, makes the same additions in the same order
+    monkeypatch.setattr(qsim, "DIRECT_ROW", qsim.DIRECT_ROW << 8 if 1 << w >= qsim.DIRECT_ROW else 1)
+    assert _hex_amps(qsim.hadamard_register(state, "h")) == _hex_amps(got)
+    monkeypatch.undo()
+    loop = _loop_hadamard(state, "h")
+    assert _hex_amps(got) == _hex_amps(loop)
+    if name.startswith("uniform"):  # every output but j = 0 cancels exactly
+        assert list(got.amps) == [0]
+    if name.startswith("signed-zero"):
+        # terms carry -0.0, but every sum starts from +0.0 and so keeps it
+        terms = qsim._hadamard_row(w)[:, None] * np.array(list(state.amps.values()))
+        assert np.signbit(terms.imag).any() and not np.signbit(terms.imag).all()
+        assert {a.imag.hex() for a in got.amps.values()} == {"0x0.0p+0"}
+    for draw in range(6):
+        fused, split = make_rng("block-draw", name, draw), make_rng("block-draw", name, draw)
+        j, collapsed = qsim.fourier_sample(state, "h", fused)
+        want_j, want = _loop_measure(loop, "h", split)
+        assert (j, _hex_amps(collapsed)) == (want_j, _hex_amps(want))
+        assert fused.bit_generator.state == split.bit_generator.state
+
+
+def test_hadamard_routes_agree_and_step_their_terms(monkeypatch):
+    # 4096 rows of 8 members on a 3-bit register: np.add.at takes the terms
+    # 2^16 >> 3 = 8192 members at a time, 4 steps, and the direct route,
+    # forced by lowering DIRECT_ROW, gives the same bits with no np.add.at
+    layout = layout_of(a=12, h=3)
+    amp = complex(2 ** -7.5)
+    state = qsim.SparseState._trusted(layout, {key: amp for key in range(1 << 15)})
+    counted = _CountedAdd()
+    monkeypatch.setattr(np, "add", counted)
+    narrow = qsim.hadamard_register(state, "h")
+    assert counted.at_calls == 4
+    monkeypatch.setattr(qsim, "DIRECT_ROW", 1)
+    direct = qsim.hadamard_register(state, "h")
+    assert counted.at_calls == 4
+    assert _hex_amps(direct) == _hex_amps(narrow)
+    assert list(narrow.amps) == [g << 3 for g in range(1 << 12)]
+
+
 def _module_containers():
     # the kept steps go with their oracles, tested below
     return {name: len(v) for name, v in vars(qsim).items()
@@ -887,7 +980,8 @@ def test_prefixes_go_with_their_oracle():
 def test_steady_round_reuses_the_kept_core_marginal(monkeypatch, d):
     # the core measurement reads the kept chase state, whose marginal the
     # first round built; the uncompute checks of N0..N{d-1} read the one
-    # config left after measuring Q from its columns and build no marginal
+    # config left after measuring Q from its columns, and the Fourier sample
+    # of Q reads its weights off the Hadamard's array, so neither builds one
     n = 6
     (orc, rng), _ = _twins(n, d, "lazy", "steady-marginal")
     built, real = [], qsim.Marginal
@@ -897,8 +991,8 @@ def test_steady_round_reuses_the_kept_core_marginal(monkeypatch, d):
         built.clear()
         run_simon_round(orc, rng)
         rounds.append(list(built))
-    assert rounds[0] == [1 << n, 1 << (n - 1)]
-    assert rounds[1] == rounds[2] == [1 << (n - 1)]
+    assert rounds[0] == [1 << n]
+    assert rounds[1] == rounds[2] == []
 
 
 def test_replayed_prefix_still_initializes_after_many_other_programs():

@@ -10,9 +10,10 @@ import pytest
 import shufflesim
 from shufflesim import runner
 from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
-from shufflesim.oracle import sample_shuffling
+from shufflesim.oracle import OracleError, sample_shuffling
+from shufflesim.qsim import SimulatorError
 from shufflesim.schemes import TRUNCATED_PROBES
-from shufflesim.solver import run_simon_round
+from shufflesim.solver import SolverError, run_simon_round, solve_search
 
 from conftest import cli_env, make_rng
 
@@ -256,14 +257,59 @@ def test_violating_adversary_aborts(tmp_path):
     assert res.stderr == "aborted: depth budget of 2 layers per circuit exceeded (1 violation(s) recorded)\n"
 
 
-def test_solver_error_aborts_with_one_line(capsys):
-    # one round at n=14 leaves 2^13 - 1 null-space candidates, over the cap
+def test_solver_refusal_is_a_failed_trial_with_its_reason(capsys):
+    # one round at n=14 leaves 2^13 - 1 null-space candidates, over the cap:
+    # each trial fails with that reason and the grid runs on
     argv = ["adversary", "--kind", "decision", "--n", "14", "--d", "0", "--rounds", "1",
-            "--backend", "lazy", "--trials", "2"]
-    assert runner.main(argv) == 1
+            "--backend", "lazy", "--trials", "3"]
+    assert runner.main(argv) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "aborted: 8191 null-space candidates exceed the cap of 4096; collect more rounds\n"
+    assert err == ""
+    [row] = json.loads(out)
+    reason = "SolverError: 8191 null-space candidates exceed the cap of 4096; collect more rounds"
+    assert row["refusals"] == {reason: 3}
+    assert (row["success"], row["oracle_layers_mean"], row["trials"]) == (0.0, 1.0, 3)
+    # the CSV row keeps the pinned header and has no refusals column
+    assert runner.main([*argv, "--format", "csv"]) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    assert header.split(",") == runner.CSV_HEADER
+    assert line.startswith("adversary,14,0,decision,3,0.0,")
+
+
+@pytest.mark.parametrize("refusal", [SolverError, OracleError, SimulatorError])
+def test_typed_refusals_are_counted_per_cell_with_their_ledger(monkeypatch, refusal):
+    # a refusal after the trial's first round keeps that round's ledger; the
+    # odd trials are refused, and serial and parallel runs agree
+    def refusing(oracle, max_rounds, rng, ledger):
+        run_simon_round(oracle, rng, ledger)
+        if rng.integers(2):
+            raise refusal("no exact answer here")
+        return solve_search(oracle, max_rounds, rng, ledger)
+
+    monkeypatch.setattr(runner, "solve_search", refusing)
+    cells = [runner._Cell("solve", 3, 1, "solver", "materialized", None)]
+    [rec] = runner.run_cells(cells, trials=12, seed=3)
+    refused = rec.refusals[f"{refusal.__name__}: no exact answer here"]
+    assert set(rec.refusals) == {f"{refusal.__name__}: no exact answer here"}
+    assert 0 < refused < 12 and rec.success == (12 - refused) / 12
+    assert rec.oracle_layers_mean == 3.0
+    assert json.loads(runner.records_to_json([rec]))[0]["refusals"] == rec.refusals
+    assert runner.run_cells(cells, trials=12, seed=3, jobs=2) == [rec]
+
+
+def test_a_cell_without_refusals_has_no_refusals_key():
+    [rec] = runner.run_cells([runner._Cell("solve", 2, 1, "solver", "materialized", None)], trials=4, seed=1)
+    assert rec.refusals is None
+    assert "refusals" not in json.loads(runner.records_to_json([rec]))[0]
+
+
+def test_an_error_that_is_no_refusal_stays_an_error(monkeypatch):
+    def broken(oracle, max_rounds, rng, ledger):
+        raise ValueError("a bug, not a refusal")
+
+    monkeypatch.setattr(runner, "solve_search", broken)
+    with pytest.raises(ValueError, match="a bug, not a refusal"):
+        runner.run_cells([runner._Cell("solve", 2, 1, "solver", "materialized", None)], trials=2, seed=0)
 
 
 def test_o2h_membership_miss_aborts_with_one_line(tmp_path):
