@@ -235,7 +235,7 @@ class ShufflingOracle:
         for level in range(self.d + 1):
             answer = self._answer(level, points[-1])
             if answer is BOT:
-                raise OracleError("path left the core's domain; backend state is inconsistent")
+                raise AssertionError("path left the core's domain; backend state is inconsistent")
             points.append(int(answer))
         if ledger is not None:
             ledger.record_core()

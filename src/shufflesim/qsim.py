@@ -17,8 +17,7 @@ config's value in dict order) and each register's marginal once it is built: a
 state that many layers read, such as a shared uniform query state, is unpacked
 once, and measuring a kept state again only draws and collapses. The
 Hadamard and the marginal add terms in a term-by-term loop's order and match
-it: the Hadamard adds each member's terms to its row directly on rows at
-least DIRECT_ROW wide, and through np.add.at on narrower ones. A Hadamard then
+it: the Hadamard adds each member's terms to its row directly. A Hadamard then
 a measurement of its register is one Fourier sample, whose Born weights are
 one masked pass over the Hadamard's array. Fidelity joins the components'
 entries on their keys, so it adds each overlap's terms in one argument's dict
@@ -50,8 +49,6 @@ DENSE_ENTRIES = 1 << 24
 JOIN_BLOCK = 1 << 20
 # the most group-by-output amplitudes one Hadamard may hold
 HADAMARD_ENTRIES = 1 << 24
-# the narrowest Hadamard row that adds each member's terms directly
-DIRECT_ROW = 1 << 6
 
 
 class SimulatorError(Exception):
@@ -287,7 +284,7 @@ def _xor_layer(state: SparseState, oracle: ShufflingOracle, resolved, ledger: De
         keys = [key ^ a << t_off for key, a in zip(keys, answers)]
     amps = dict(zip(keys, state.amps.values()))
     if len(amps) != len(state.amps):
-        raise SimulatorError("oracle layer mapped two configs to one")
+        raise AssertionError("oracle layer mapped two configs to one")
     return SparseState._trusted(layout, amps, check_norm=False)
 
 
@@ -305,14 +302,14 @@ def _hadamard_row(w: int) -> np.ndarray:
 def _hadamard_block(state: SparseState, register: str):
     """The Hadamard on one register as a groups-by-2^w array, rows first seen
     first, each summing its members' terms in input order from zeros as a
-    term-by-term loop does, signed zeros included: one add per member on rows
-    DIRECT_ROW wide or more (a member's add costs what np.add.at spends on
-    about 64 terms, whatever the members per row), np.add.at (unbuffered, the
-    same additions) on narrower rows. Returns the rows' keys off the register,
-    its offset, the array, which entries pass PRUNE_TOL (np.hypot is abs() to
-    the bit), the outputs j holding one, and their Born weights: masked
-    np.float_power(|a|, 2) (Python's ** 2 to the bit) summed over rows in row
-    order. Refused past HADAMARD_ENTRIES before allocating, or on norm drift."""
+    term-by-term loop does, signed zeros included: each member's terms are
+    added to its row at once (the solver's Hadamard follows the core
+    measurement, so its one row holds one or two members). Returns the rows'
+    keys off the register, its offset, the array, which entries pass
+    PRUNE_TOL (np.hypot is abs() to the bit), the outputs j holding one, and
+    their Born weights: masked np.float_power(|a|, 2) (Python's ** 2 to the
+    bit) summed over rows in row order. Refused past HADAMARD_ENTRIES before
+    allocating, or on norm drift."""
     off, mask = state.layout.field(register)
     w, rest = state.layout.width(register), ~(mask << off)
     groups: dict[int, int] = {}
@@ -326,11 +323,8 @@ def _hadamard_block(state: SparseState, register: str):
     step = max(1, (1 << 16) >> w)  # bounds the members-by-outputs block of terms
     for lo in range(0, len(amps), step):
         terms = row[values[lo : lo + step] & np.arange(1 << w)] * amps[lo : lo + step]
-        if 1 << w >= DIRECT_ROW:
-            for g, member_terms in zip(member_group[lo : lo + step], terms):
-                acc[g] += member_terms
-        else:
-            np.add.at(acc, member_group[lo : lo + step], terms)
+        for g, member_terms in zip(member_group[lo : lo + step], terms):
+            acc[g] += member_terms
     mags = np.hypot(acc.real, acc.imag)
     kept = mags > PRUNE_TOL
     column_weights = np.float_power(mags, 2, out=np.zeros_like(mags), where=kept).sum(axis=0)

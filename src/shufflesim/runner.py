@@ -7,7 +7,8 @@ or parallel: every trial draws from its own seed stream keyed by
 (seed, cell index, trial index), results aggregate in trial order, and the
 seconds column stays 0.0 unless timing is requested. A trial whose strategy
 raises a typed refusal (schemes.REFUSALS) fails with that reason, and its
-JSON row counts the cell's refusals by reason; any other error ends the run.
+JSON row counts the cell's refusals by reason; any other error, a broken
+internal invariant's AssertionError included, ends the run.
 
 Defaults can be overridden by environment variables SHUFFLESIM_SEED,
 SHUFFLESIM_TRIALS, SHUFFLESIM_BACKEND, SHUFFLESIM_JOBS; command line flags

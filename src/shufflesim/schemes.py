@@ -23,7 +23,8 @@ from .simon import InstanceKind
 from .solver import SolverError, decide_from_samples, round_program, solve_decision, solver_layout
 
 TRUNCATED_PROBES = 8
-# the typed refusals: a strategy that cannot answer exactly raises one of these
+# the typed refusals: a strategy that cannot answer exactly raises one of these;
+# a broken internal invariant raises AssertionError instead and ends the run
 REFUSALS = (SolverError, OracleError, qsim.SimulatorError)
 
 

@@ -70,7 +70,7 @@ def run_simon_round(
     for i in range(d):
         leftover = machine.register_values(f"N{i}")
         if leftover != {0}:
-            raise SolverError(f"uncompute left N{i} holding {sorted(leftover)}")
+            raise AssertionError(f"uncompute left N{i} holding {sorted(leftover)}")
     core = oracle.decode_answer(d, machine.outcomes[f"N{d}"])
     return RoundResult(
         j=BitVector(machine.outcomes["Q"], n),

@@ -509,23 +509,6 @@ def test_fourier_sample_is_the_hadamard_then_the_measurement(case):
     assert fused.bit_generator.state == split.bit_generator.state
 
 
-class _CountedAdd:
-    """Stands in for np.add and counts the np.add.at calls made through it."""
-
-    def __init__(self):
-        self.real, self.at_calls = np.add, 0
-
-    def at(self, *args):
-        self.at_calls += 1
-        return self.real.at(*args)
-
-    def __call__(self, *args, **kwargs):
-        return self.real(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.real, name)
-
-
 def _block_cases():
     """States whose Hadamard blocks _grouped_state does not reach, by
     (register width, members per row): one row of a whole uniform register;
@@ -556,17 +539,9 @@ def _hex_amps(state):
 
 
 @pytest.mark.parametrize("name, state", list(_block_cases()), ids=[name for name, _ in _block_cases()])
-def test_hadamard_routes_match_the_term_by_term_loop_to_the_bit(monkeypatch, name, state):
+def test_hadamard_blocks_match_the_term_by_term_loop_to_the_bit(name, state):
     w = state.layout.width("h")
-    # rows at least DIRECT_ROW wide add each member's terms directly, narrower ones take np.add.at
-    counted = _CountedAdd()
-    monkeypatch.setattr(np, "add", counted)
     got = qsim.hadamard_register(state, "h")
-    assert counted.at_calls == (0 if 1 << w >= qsim.DIRECT_ROW else 1)
-    # the other route, forced, makes the same additions in the same order
-    monkeypatch.setattr(qsim, "DIRECT_ROW", qsim.DIRECT_ROW << 8 if 1 << w >= qsim.DIRECT_ROW else 1)
-    assert _hex_amps(qsim.hadamard_register(state, "h")) == _hex_amps(got)
-    monkeypatch.undo()
     loop = _loop_hadamard(state, "h")
     assert _hex_amps(got) == _hex_amps(loop)
     if name.startswith("uniform"):  # every output but j = 0 cancels exactly
@@ -584,22 +559,16 @@ def test_hadamard_routes_match_the_term_by_term_loop_to_the_bit(monkeypatch, nam
         assert fused.bit_generator.state == split.bit_generator.state
 
 
-def test_hadamard_routes_agree_and_step_their_terms(monkeypatch):
-    # 4096 rows of 8 members on a 3-bit register: np.add.at takes the terms
-    # 2^16 >> 3 = 8192 members at a time, 4 steps, and the direct route,
-    # forced by lowering DIRECT_ROW, gives the same bits with no np.add.at
+def test_hadamard_steps_its_terms_and_matches_the_loop():
+    # 4096 rows of 8 members on a 3-bit register: the terms are built
+    # 2^16 >> 3 = 8192 members at a time, 4 steps, and each row still sums
+    # its members in input order as the loop does
     layout = layout_of(a=12, h=3)
     amp = complex(2 ** -7.5)
     state = qsim.SparseState._trusted(layout, {key: amp for key in range(1 << 15)})
-    counted = _CountedAdd()
-    monkeypatch.setattr(np, "add", counted)
-    narrow = qsim.hadamard_register(state, "h")
-    assert counted.at_calls == 4
-    monkeypatch.setattr(qsim, "DIRECT_ROW", 1)
-    direct = qsim.hadamard_register(state, "h")
-    assert counted.at_calls == 4
-    assert _hex_amps(direct) == _hex_amps(narrow)
-    assert list(narrow.amps) == [g << 3 for g in range(1 << 12)]
+    got = qsim.hadamard_register(state, "h")
+    assert _hex_amps(got) == _hex_amps(_loop_hadamard(state, "h"))
+    assert list(got.amps) == [g << 3 for g in range(1 << 12)]
 
 
 def _module_containers():

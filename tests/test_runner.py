@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shufflesim
-from shufflesim import runner
+from shufflesim import qsim, runner
 from shufflesim.ledger import DepthLedger, DepthViolation, SchemeBudget
 from shufflesim.oracle import OracleError, sample_shuffling
 from shufflesim.qsim import SimulatorError
@@ -310,6 +310,14 @@ def test_an_error_that_is_no_refusal_stays_an_error(monkeypatch):
     monkeypatch.setattr(runner, "solve_search", broken)
     with pytest.raises(ValueError, match="a bug, not a refusal"):
         runner.run_cells([runner._Cell("solve", 2, 1, "solver", "materialized", None)], trials=2, seed=0)
+
+
+def test_a_broken_invariant_ends_the_run(monkeypatch):
+    # an uncompute that leaves N0 set is a defect, not a refusal: no trial
+    # counts it as failed, the error leaves run_cells
+    monkeypatch.setattr(qsim.Interpreter, "register_values", lambda self, name: {1})
+    with pytest.raises(AssertionError, match=r"uncompute left N0 holding \[1\]"):
+        runner.run_cells([runner._Cell("solve", 3, 1, "solver", "materialized", None)], trials=2, seed=0)
 
 
 def test_o2h_membership_miss_aborts_with_one_line(tmp_path):
